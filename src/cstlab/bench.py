@@ -509,7 +509,8 @@ def verify_theorem1() -> Report:
 
     i31 = build_instance("I31").instance
     full = i31.full_interval()
-    add(Check("thm1.hw.cost", 1763, hw_solve(i31, full, 0).cost))
+    hw_cost = hw_solve(i31, full, 0).cost
+    add(Check("thm1.hw.cost", 1763, hw_cost))
 
     witness = fig3_witness_tree()
     add(Check("thm1.witness.cost", 1762, gbst_cost(witness, i31)))
@@ -525,7 +526,6 @@ def verify_theorem1() -> Report:
     add(Check("thm1.block1.opt", 220, oracle.opt_cost(Interval(10, 16))))
     add(Check("thm1.block2.opt", 660, oracle.opt_cost(Interval(17, 31))))
 
-    hw_cost = hw_solve(i31, full, 0).cost
     add(Check("thm1.nonoptimal", 1, int(hw_cost > gbst_cost(witness, i31))))
     return Report(tuple(checks))
 

@@ -1,10 +1,10 @@
 """Correct-by-construction exact solvers for both tree families.
 
-These enumerate every admissible tree via memoized recursion over
-(interval, explicit hole set) states, so they are exponential in the
-interval size and refuse intervals beyond a configured limit.  They serve
-as the ground truth the polynomial-time dynamic programs are audited
-against.
+These enumerate every admissible tree via memoized recursion over query
+sets: the keys of an (interval, explicit hole set) subproblem that are not
+holes.  They are exponential in the interval size and refuse intervals
+beyond a configured limit.  They serve as the ground truth the
+polynomial-time dynamic programs are audited against.
 
 Also here: the key-placement lower bound for GBST costs, and the integer
 depth sequences d_m / e_m bounding the total leaf depth of separated and
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from ._backend import BACKEND, GbstCostKernel, TwcstCostKernel
+from ._kernel import BACKEND, GbstCostKernel, TwcstCostKernel
 from .model import (
     EQ,
     LT,

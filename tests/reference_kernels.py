@@ -1,13 +1,12 @@
-"""Pure-Python cost kernels for the exact solvers.
+"""Reference cost recursions over (interval, hole mask) states.
 
-These implement only the cost recursions over (interval, hole-mask) states;
-tree reconstruction happens in :mod:`cstlab.oracle` by re-deriving argmins
-from the memoized costs.  A compiled twin (``cstlab._kernel_c``) implements
-the same interface and must produce identical values.
+These are the exact kernels as first written: every state is a triple
+(i, j, mask), GBST tries every equality key and every split position of
+the interval, and 2WCST every equality key and every less-than split of
+the interval.  They share no code with :mod:`cstlab._kernel`, which keys
+its memo on the query set alone, and the tests require equal costs.
 """
 from __future__ import annotations
-
-BACKEND = "pure"
 
 
 class GbstCostKernel:

@@ -57,6 +57,17 @@ class TestSolve:
         assert rc == 0
         assert "cost=49" in capsys.readouterr().out
 
+    def test_exact_interval_of_large_instance(self, tmp_path, capsys):
+        # Only the interval's size is limited, not the instance's.
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"K{k:02d} {1 + k % 7}\n" for k in range(60)))
+        rc = main(
+            ["solve", "--model", "gbsplit", "--alg", "exact", "--instance", str(path),
+             "--interval", "1", "5"]
+        )
+        assert rc == 0
+        assert "cost=28" in capsys.readouterr().out
+
     def test_too_many_holes_is_usage_error(self, i9_file, capsys):
         rc = main(
             ["solve", "--model", "gbsplit", "--alg", "hw", "--instance", i9_file,

@@ -1,18 +1,20 @@
-"""Differential tests: the compiled kernels must match the pure ones bit
-for bit, and the backend switch must behave."""
-import os
-import subprocess
-import sys
-
+"""Differential tests: the query-set kernels must match the reference
+(interval, hole mask) recursions on every state of small instances, and the
+independent brute force on every query set."""
 import pytest
 
-from cstlab import _backend, _kernel_py
+import reference_kernels as ref
+from brute import min_gbst_cost, min_twcst_cost
+from cstlab._kernel import GbstCostKernel, TwcstCostKernel
 from cstlab.falsify import random_instance
-from cstlab.model import range_mask
+from cstlab.model import Instance, keys_of, range_mask
 
-compiled = pytest.importorskip(
-    "cstlab._kernel_c", reason="compiled kernels not built"
-)
+SEEDS = range(64)
+
+
+def _instance(seed):
+    """Random instances of 1..8 keys; the weights cover zeros and ties."""
+    return random_instance(1 + seed % 8, 1 + seed % 5 * 4, 4200 + seed)
 
 
 def _all_states(n):
@@ -27,43 +29,79 @@ def _all_states(n):
                 mask = (mask - 1) & full
 
 
-class TestKernelEquivalence:
-    def test_gbst_costs_identical(self):
-        for seed in range(20):
-            n = 2 + seed % 6
-            inst = random_instance(n, 13, 1200 + seed)
-            pure = _kernel_py.GbstCostKernel(inst.weights)
-            fast = compiled.GbstCostKernel(inst.weights)
-            for i, j, mask in _all_states(n):
-                assert pure.cost(i, j, mask) == fast.cost(i, j, mask)
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gbst_every_state(self, seed):
+        inst = _instance(seed)
+        new = GbstCostKernel(inst.weights)
+        old = ref.GbstCostKernel(inst.weights)
+        for i, j, mask in _all_states(inst.n):
+            assert new.cost(i, j, mask) == old.cost(i, j, mask), (i, j, mask)
 
     @pytest.mark.parametrize("prune", [True, False])
-    def test_twcst_costs_identical(self, prune):
-        for seed in range(20):
-            n = 2 + seed % 6
-            inst = random_instance(n, 13, 1300 + seed)
-            pure = _kernel_py.TwcstCostKernel(inst.weights, prune)
-            fast = compiled.TwcstCostKernel(inst.weights, prune)
-            for i, j, mask in _all_states(n):
-                if mask == range_mask(i, j):
-                    continue  # no queries left
-                assert pure.cost(i, j, mask) == fast.cost(i, j, mask)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_twcst_every_state(self, seed, prune):
+        inst = _instance(seed)
+        new = TwcstCostKernel(inst.weights, prune)
+        old = ref.TwcstCostKernel(inst.weights, prune)
+        for i, j, mask in _all_states(inst.n):
+            if mask == range_mask(i, j):
+                continue  # no queries left
+            assert new.cost(i, j, mask) == old.cost(i, j, mask), (i, j, mask)
 
-    def test_compiled_is_default_backend(self):
-        if os.environ.get("CSTLAB_PURE"):
-            pytest.skip("pure backend forced via CSTLAB_PURE")
-        assert _backend.BACKEND == "compiled"
 
-    def test_env_forces_pure_backend(self):
-        code = (
-            "from cstlab import _backend; print(_backend.BACKEND)"
+class TestAgainstBruteForce:
+    # The GBST brute force has no memo, so it stops at 6 keys.
+    @pytest.mark.parametrize("seed", [s for s in range(24) if s % 8 < 6])
+    def test_every_query_set(self, seed):
+        inst = _instance(seed)
+        gbst = GbstCostKernel(inst.weights)
+        twcst = TwcstCostKernel(inst.weights)
+        for q in range(1 << inst.n):
+            keys = keys_of(q)
+            assert gbst.cost(1, inst.n, ~q) == min_gbst_cost(inst, keys)
+            if keys:
+                assert twcst.cost(1, inst.n, ~q) == min_twcst_cost(inst, keys)
+
+
+class TestEntryPoint:
+    def test_state_is_the_query_set(self):
+        # The same keys left to query cost the same, whatever the interval
+        # and the hole set that leave them.
+        inst = random_instance(8, 9, 77)
+        for kernel in (GbstCostKernel(inst.weights), TwcstCostKernel(inst.weights)):
+            a = kernel.cost(3, 6, range_mask(5, 5))
+            assert kernel.cost(2, 8, range_mask(2, 2) | range_mask(5, 5) | range_mask(7, 8)) == a
+            assert kernel.cost(1, 8, ~(range_mask(3, 4) | range_mask(6, 6))) == a
+
+    def test_gbst_empty(self):
+        kernel = GbstCostKernel((3, 1, 4))
+        assert kernel.cost(2, 1, 0) == 0
+        assert kernel.cost(1, 3, range_mask(1, 3)) == 0
+
+    def test_twcst_needs_a_query(self):
+        kernel = TwcstCostKernel((3, 1, 4))
+        with pytest.raises(ValueError, match="at least one query"):
+            kernel.cost(1, 3, range_mask(1, 3))
+        assert kernel.cost(2, 2, 0) == 0
+
+    def test_all_zero_weights(self):
+        weights = (0,) * 6
+        assert GbstCostKernel(weights).cost(1, 6, 0) == 0
+        for prune in (True, False):
+            assert TwcstCostKernel(weights, prune).cost(1, 6, 0) == 0
+
+    def test_twcst_cost_beyond_int64_is_exact(self):
+        # Scaling every weight by 2^58 scales the optimum, past int64 here.
+        scaled = TwcstCostKernel((1 << 58,) * 12).cost(1, 12, 0)
+        assert scaled == TwcstCostKernel((1,) * 12).cost(1, 12, 0) << 58
+        assert scaled > 2**63
+
+    def test_keys_beyond_bit_64(self):
+        inst = Instance(
+            tuple(f"K{k:03d}" for k in range(1, 81)), tuple(1 + k % 7 for k in range(80))
         )
-        env = dict(os.environ, CSTLAB_PURE="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "pure"
-
-    def test_compiled_rejects_oversized_instances(self):
-        with pytest.raises(ValueError, match="at most 50"):
-            compiled.GbstCostKernel((1,) * 51)
+        gbst = GbstCostKernel(inst.weights)
+        twcst = TwcstCostKernel(inst.weights)
+        assert gbst.cost(70, 74, 0) == min_gbst_cost(inst, tuple(range(70, 75)))
+        assert twcst.cost(70, 74, 0) == min_twcst_cost(inst, tuple(range(70, 75)))

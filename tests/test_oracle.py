@@ -60,6 +60,13 @@ class TestGbstOpt:
         with pytest.raises(SizeLimitError, match="limit 16"):
             oracle.opt(I31.full_interval(), ())
 
+    def test_cost_beyond_int64_is_exact(self):
+        # 37 * 2^58 exceeds int64, so a fixed-width cost would wrap.
+        inst = Instance(tuple(f"K{k:02d}" for k in range(1, 13)), (2**58,) * 12)
+        cost = GbstOracle(inst).opt_cost(inst.full_interval())
+        assert cost == 37 * 2**58
+        assert cost > 2**63
+
     def test_matches_bruteforce_enumeration(self):
         import itertools
 
