@@ -37,11 +37,7 @@ from .oracle import (
     SizeLimitError,
     TwcstOracle,
     depth_seq,
-    gbst_opt,
-    gbst_opt_star,
     placement_lower_bound,
-    twcst_opt,
-    twcst_opt_star,
 )
 from .hw import HwTable, hw_solve, hw_table
 from .spuler import SpulerTable, spuler_solve, spuler_table

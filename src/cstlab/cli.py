@@ -12,11 +12,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import bench, falsify
-from .hw import hw_solve
-from .model import Instance, Interval, ParseError, parse_instance
-from .oracle import GbstOracle, SizeLimitError, TwcstOracle, depth_seq
+from .falsify import MODELS
+from .model import Instance, Interval, ParseError, check_hole_count, parse_instance
+from .oracle import SizeLimitError, depth_seq
 from .render import FORMATS, InvalidTreeError, parse_tree_file, render_tree
-from .spuler import spuler_solve
 
 __all__ = ["main"]
 
@@ -34,8 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one instance with one algorithm")
-    solve.add_argument("--model", choices=("gbsplit", "twcst"), required=True)
-    solve.add_argument("--alg", choices=("hw", "spuler", "exact"), required=True)
+    solve.add_argument("--model", choices=tuple(MODELS), required=True)
+    solve.add_argument(
+        "--alg", choices=(*(m.dp for m in MODELS.values()), "exact"), required=True
+    )
     solve.add_argument("--instance", required=True, metavar="FILE")
     solve.add_argument("--interval", nargs=2, type=int, metavar=("I", "J"))
     solve.add_argument("--holes", type=int, default=0, metavar="H")
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=1)
 
     fuzz = sub.add_parser("fuzz", help="random discrepancy search")
-    fuzz.add_argument("--model", choices=("gbsplit", "twcst"), required=True)
+    fuzz.add_argument("--model", choices=tuple(MODELS), required=True)
     fuzz.add_argument("--n-min", type=int, default=2)
     fuzz.add_argument("--n-max", type=int, default=8)
     fuzz.add_argument("--wmax", type=int, default=16)
@@ -118,9 +119,10 @@ def _cmd_solve(args) -> int:
     if interval.empty:
         raise UsageError("interval must be nonempty")
 
-    pairs = {"hw": "gbsplit", "spuler": "twcst"}
-    if args.alg in pairs and pairs[args.alg] != args.model:
-        raise UsageError(f"--alg {args.alg} requires --model {pairs[args.alg]}")
+    model = MODELS[args.model]
+    if args.alg not in (model.dp, "exact"):
+        other = next(name for name, m in MODELS.items() if m.dp == args.alg)
+        raise UsageError(f"--alg {args.alg} requires --model {other}")
     if args.out and not args.render_fmt:
         raise UsageError("--out requires --render")
     holeset = None
@@ -132,46 +134,37 @@ def _cmd_solve(args) -> int:
             raise UsageError("--holeset keys must lie inside the interval")
 
     h = args.holes
-    size = interval.size
-    max_h = size if args.model == "gbsplit" else size - 1
-    if holeset is None and not 0 <= h <= max_h:
-        raise UsageError(f"hole count {h} out of range 0..{max_h}")
+    if holeset is None:
+        try:
+            check_hole_count(h, interval, model.table.min_queries)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
-    lines: list[str] = []
-    if args.alg == "hw":
-        result = hw_solve(inst, interval, h)
-        tree, holes_used = result.tree, result.holes_in(interval)
-        lines.append(f"cost={result.cost}")
-        lines.append(f"weight={result.weight}")
-    elif args.alg == "spuler":
-        result = spuler_solve(inst, interval, h)
-        tree, holes_used = result.tree, result.holes_in(interval)
-        lines.append(f"cost={result.cost}")
-        lines.append(f"weight={result.weight}")
+    if args.alg == model.dp:
+        result = model.table.solve(inst, interval, h)
+        cost, weight, tree = result.cost, result.weight, result.tree
+        holes_used = result.holes_in(interval)
     else:
-        oracle = (
-            GbstOracle(inst) if args.model == "gbsplit" else TwcstOracle(inst)
-        )
+        oracle = model.oracle(inst)
         if holeset is not None:
-            if args.model == "twcst" and len(holeset) >= size:
-                raise UsageError("2WCST subproblem must keep at least one query")
-            cost, tree = oracle.opt(interval, holeset)
+            try:
+                cost, tree = oracle.opt(interval, holeset)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
             holes_used = holeset
         else:
             cost, tree, holes_used = oracle.opt_star(interval, h)
         weight = inst.range_weight(interval.i, interval.j) - sum(
             inst.weight(k) for k in holes_used
         )
-        lines.append(f"cost={cost}")
-        lines.append(f"weight={weight}")
 
-    lines.insert(
-        0,
+    print(
         f"model={args.model} alg={args.alg} interval=[{interval.i},{interval.j}] "
-        f"holes={len(holes_used)}",
+        f"holes={len(holes_used)}"
     )
-    lines.append("holes_used=" + ",".join(inst.label(k) for k in holes_used))
-    print("\n".join(lines))
+    print(f"cost={cost}")
+    print(f"weight={weight}")
+    print("holes_used=" + ",".join(inst.label(k) for k in holes_used))
     if args.render_fmt:
         if tree is None:
             raise UsageError("nothing to render: the solution is the empty tree")

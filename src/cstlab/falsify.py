@@ -15,10 +15,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .hw import HwTable, hw_solve
+from .hw import HwTable
 from .model import (
+    DpTable,
     Instance,
     Interval,
     gbst_cost,
@@ -26,12 +27,21 @@ from .model import (
     twcst_cost,
     twcst_validate,
 )
-from .oracle import DEFAULT_GBST_LIMIT, DEFAULT_TWCST_LIMIT, GbstOracle, TwcstOracle
-from .spuler import SpulerTable, spuler_solve
+from .oracle import (
+    DEFAULT_GBST_LIMIT,
+    DEFAULT_TWCST_LIMIT,
+    ExactOracle,
+    GbstOracle,
+    SizeLimitError,
+    TwcstOracle,
+)
+from .spuler import SpulerTable
 
 __all__ = [
     "GBSPLIT",
     "TWCST",
+    "Model",
+    "MODELS",
     "FeasibilityError",
     "CampaignConfig",
     "Discrepancy",
@@ -45,6 +55,27 @@ __all__ = [
 
 GBSPLIT = "gbsplit"
 TWCST = "twcst"
+
+
+@dataclass(frozen=True)
+class Model:
+    """One tree family: its flawed DP, the exact oracle that audits it, and
+    its tree checks.  ``dp`` is the DP's name on the command line."""
+
+    dp: str
+    table: type[DpTable]
+    oracle: type[ExactOracle]
+    limit: int
+    validate: Callable
+    cost: Callable
+
+
+MODELS = {
+    GBSPLIT: Model("hw", HwTable, GbstOracle, DEFAULT_GBST_LIMIT, gbst_validate, gbst_cost),
+    TWCST: Model(
+        "spuler", SpulerTable, TwcstOracle, DEFAULT_TWCST_LIMIT, twcst_validate, twcst_cost
+    ),
+}
 
 
 class FeasibilityError(AssertionError):
@@ -110,23 +141,21 @@ class CampaignConfig:
     base_seed: int = 0
     holes_max: Optional[int] = None
     zero_weight_prob: float = 0.25
-    gbst_limit: int = DEFAULT_GBST_LIMIT
-    twcst_limit: int = DEFAULT_TWCST_LIMIT
 
     def __post_init__(self):
-        if self.model not in (GBSPLIT, TWCST):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
-        limit = self.gbst_limit if self.model == GBSPLIT else self.twcst_limit
+        if self.wmax < 1:
+            raise ValueError("wmax must be >= 1")
+        if self.holes_max is not None and self.holes_max < 0:
+            raise ValueError("holes_max must be >= 0")
+        limit = MODELS[self.model].limit
         if self.n_max > limit:
             raise ValueError(f"n_max {self.n_max} exceeds the oracle limit {limit}")
-
-    @property
-    def oracle_limit(self) -> int:
-        return self.gbst_limit if self.model == GBSPLIT else self.twcst_limit
 
 
 @dataclass(frozen=True)
@@ -172,11 +201,18 @@ class CampaignReport:
         return lines
 
 
-def _audit_gbsplit(
-    inst: Instance, holes_max: Optional[int], limit: int
+def _audit(
+    model: str, inst: Instance, holes_max: Optional[int]
 ) -> tuple[list[Discrepancy], int]:
-    table = HwTable(inst)
-    oracle = GbstOracle(inst, limit)
+    """Audit every table cell against the oracle; largest gap first.
+
+    Instances beyond the oracle limit are refused before the table fills.
+    """
+    spec = MODELS[model]
+    if inst.n > spec.limit:
+        raise SizeLimitError(inst.n, spec.limit)
+    table = spec.table(inst)
+    oracle = spec.oracle(inst, spec.limit)
     found: list[Discrepancy] = []
     checked = 0
     n = inst.n
@@ -188,7 +224,7 @@ def _audit_gbsplit(
         checked += 1
         if flawed < exact:
             raise FeasibilityError(
-                f"hw cost {flawed} below optimum {exact} at ({i},{j},{h})"
+                f"{spec.dp} cost {flawed} below optimum {exact} at ({i},{j},{h})"
             )
         if flawed > exact:
             found.append(
@@ -202,79 +238,32 @@ def _audit_gbsplit(
                     whole_instance=(i == 1 and j == n and h == 0),
                 )
             )
-    return found, checked
-
-
-def _audit_twcst(
-    inst: Instance, holes_max: Optional[int], limit: int
-) -> tuple[list[Discrepancy], int]:
-    table = SpulerTable(inst)
-    oracle = TwcstOracle(inst, limit)
-    found: list[Discrepancy] = []
-    checked = 0
-    n = inst.n
-    for i, j, h in table.cells():
-        if holes_max is not None and h > holes_max:
-            continue
-        flawed = table.cost(i, j, h)
-        exact = oracle.opt_star_cost(Interval(i, j), h)
-        checked += 1
-        if flawed < exact:
-            raise FeasibilityError(
-                f"spuler cost {flawed} below optimum {exact} at ({i},{j},{h})"
-            )
-        if flawed > exact:
-            found.append(
-                Discrepancy(
-                    instance=inst,
-                    i=i,
-                    j=j,
-                    h=h,
-                    flawed_cost=flawed,
-                    oracle_cost=exact,
-                    whole_instance=(i == 1 and j == n and h == 0),
-                )
-            )
+    found.sort(key=lambda d: (-d.gap, d.i, d.j, d.h))
     return found, checked
 
 
 def audit_subproblems(
-    model: str,
-    inst: Instance,
-    holes_max: Optional[int] = None,
-    oracle_limit: Optional[int] = None,
+    model: str, inst: Instance, holes_max: Optional[int] = None
 ) -> list[Discrepancy]:
     """Compare the flawed DP against the oracle at every (i, j, h) cell.
 
-    Returns all strict-gap cells, largest gap first.  Oracle size refusals
-    propagate to the caller.
+    Returns all strict-gap cells, largest gap first.  An instance with more
+    keys than the oracle limit raises SizeLimitError before any work.
     """
-    if model == GBSPLIT:
-        found, _ = _audit_gbsplit(inst, holes_max, oracle_limit or DEFAULT_GBST_LIMIT)
-    elif model == TWCST:
-        found, _ = _audit_twcst(inst, holes_max, oracle_limit or DEFAULT_TWCST_LIMIT)
-    else:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    found.sort(key=lambda d: (-d.gap, d.i, d.j, d.h))
-    return found
+    return _audit(model, inst, holes_max)[0]
 
 
 def _witness_check(
     model: str, inst: Instance, witness, trial: int, name: str
 ) -> Discrepancy | None:
-    full = inst.full_interval()
-    if model == GBSPLIT:
-        verdict = gbst_validate(witness, full, (), inst)
-        if not verdict:
-            raise ValueError(f"witness tree for {name} invalid: {verdict.violations}")
-        flawed = hw_solve(inst, full, 0).cost
-        reference = gbst_cost(witness, inst)
-    else:
-        verdict = twcst_validate(witness, full, (), inst)
-        if not verdict:
-            raise ValueError(f"witness tree for {name} invalid: {verdict.violations}")
-        flawed = spuler_solve(inst, full, 0).cost
-        reference = twcst_cost(witness, inst)
+    spec = MODELS[model]
+    verdict = spec.validate(witness, inst.full_interval(), (), inst)
+    if not verdict:
+        raise ValueError(f"witness tree for {name} invalid: {verdict.violations}")
+    flawed = spec.table(inst).cost(1, inst.n, 0)
+    reference = spec.cost(witness, inst)
     if flawed > reference:
         return Discrepancy(
             instance=inst,
@@ -305,11 +294,10 @@ def campaign(
     checked = 0
     trial = 0
 
+    limit = MODELS[cfg.model].limit
     for case in injected:
-        if case.instance.n <= cfg.oracle_limit:
-            audit = _audit_gbsplit if cfg.model == GBSPLIT else _audit_twcst
-            found, inst_checked = audit(case.instance, cfg.holes_max, cfg.oracle_limit)
-            found.sort(key=lambda d: (-d.gap, d.i, d.j, d.h))
+        if case.instance.n <= limit:
+            found, inst_checked = _audit(cfg.model, case.instance, cfg.holes_max)
             discrepancies.extend(
                 dataclasses.replace(d, trial=trial, name=case.name) for d in found
             )
@@ -317,7 +305,7 @@ def campaign(
         else:
             refusals.append(
                 f"trial {trial} ({case.name}): n={case.instance.n} exceeds oracle "
-                f"limit {cfg.oracle_limit}; witness comparison only"
+                f"limit {limit}; witness comparison only"
             )
             if case.witness_tree is not None:
                 hit = _witness_check(
@@ -350,11 +338,7 @@ def _run_random_trial(
     rng = random.Random(seed)
     n = rng.randint(cfg.n_min, cfg.n_max)
     inst = random_instance(n, cfg.wmax, seed, cfg.zero_weight_prob)
-    if cfg.model == GBSPLIT:
-        found, checked = _audit_gbsplit(inst, cfg.holes_max, cfg.gbst_limit)
-    else:
-        found, checked = _audit_twcst(inst, cfg.holes_max, cfg.twcst_limit)
-    found.sort(key=lambda d: (-d.gap, d.i, d.j, d.h))
+    found, checked = _audit(cfg.model, inst, cfg.holes_max)
     tagged = [dataclasses.replace(d, trial=trial, seed=seed) for d in found]
     return tagged, checked
 

@@ -24,15 +24,12 @@ split position, then smallest h1.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from .model import (
-    GbstNode,
-    GbstTree,
+    DpTable,
     Instance,
     Interval,
-    LeastWeightOrder,
     SolveResult,
+    gbst_join,
 )
 
 __all__ = ["HwTable", "hw_solve", "hw_table"]
@@ -41,20 +38,11 @@ __all__ = ["HwTable", "hw_solve", "hw_table"]
 _EMPTY_CELL = (0, 0, 0, 0, None, None)
 
 
-class HwTable:
-    """Memo of the DP over every (i, j, h) inside a root interval."""
+class HwTable(DpTable):
+    """The HW DP over every (i, j, h) inside a root interval, h <= |I|.
 
-    def __init__(self, inst: Instance, interval: Optional[Interval] = None):
-        if interval is None:
-            interval = inst.full_interval()
-        interval.validate_for(inst.n)
-        if interval.empty:
-            raise ValueError("root interval must be nonempty")
-        self.inst = inst
-        self.interval = interval
-        self._order = LeastWeightOrder(inst)
-        self._grid: dict[tuple[int, int], list[tuple]] = {}
-        self._fill()
+    Backpointers are (s, h1, h2, e); None at the empty-tree base h = |I|.
+    """
 
     def _fill(self) -> None:
         inst = self.inst
@@ -93,7 +81,7 @@ class HwTable:
                                 best_rank = rank
                                 best = (s, h1, cl, cr, e, weight, cost)
                     s, h1, cl, cr, e, weight, cost = best
-                    tree = _attach(e, s, i, cl[4], cr[4])
+                    tree = gbst_join(e, s, i, cl[4], cr[4])
                     row[h] = (
                         cost,
                         weight,
@@ -103,45 +91,6 @@ class HwTable:
                         (s, h1, h + 1 - h1, e),
                     )
 
-    def _cell(self, i: int, j: int, h: int) -> tuple:
-        row = self._grid.get((i, j))
-        if row is None:
-            raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
-        if not 0 <= h < len(row):
-            raise ValueError(f"hole count {h} out of range 0..{len(row) - 1}")
-        return row[h]
-
-    def result(self, i: int, j: int, h: int) -> SolveResult:
-        cost, weight, used_mask, _, tree, _ = self._cell(i, j, h)
-        return SolveResult(cost=cost, tree=tree, used_mask=used_mask, weight=weight)
-
-    def choice(self, i: int, j: int, h: int) -> tuple | None:
-        """Backpointer (s, h1, h2, e); None at the empty-tree base h = |I|."""
-        return self._cell(i, j, h)[5]
-
-    def cost(self, i: int, j: int, h: int) -> int:
-        return self._cell(i, j, h)[0]
-
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        """All (i, j, h) coordinates with i <= j, ascending."""
-        lo, hi = self.interval.i, self.interval.j
-        for i in range(lo, hi + 1):
-            for j in range(i, hi + 1):
-                for h in range(j - i + 2):
-                    yield (i, j, h)
-
-
-def _attach(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNode:
-    # Single-child nodes hang the child on the right under split key i, the
-    # interval start, which routes every remaining key to it.
-    if left is None and right is None:
-        return GbstNode(e)
-    if right is None:
-        return GbstNode(e, split=i, right=left)
-    if left is None:
-        return GbstNode(e, split=i, right=right)
-    return GbstNode(e, split=s, left=left, right=right)
-
 
 def hw_table(inst: Instance) -> HwTable:
     """Full table over every subinterval of the instance."""
@@ -150,6 +99,4 @@ def hw_table(inst: Instance) -> HwTable:
 
 def hw_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:
     """Run the DP for one (interval, hole count) subproblem."""
-    if not 0 <= h <= interval.size:
-        raise ValueError(f"hole count {h} out of range 0..{interval.size}")
-    return HwTable(inst, interval).result(interval.i, interval.j, h)
+    return HwTable.solve(inst, interval, h)

@@ -35,12 +35,14 @@ __all__ = [
     "EQ",
     "LT",
     "SolveResult",
+    "DpTable",
+    "check_hole_count",
     "Verdict",
     "parse_instance",
     "format_instance",
     "gbst_cost",
     "gbst_weight",
-    "gbst_keys",
+    "gbst_join",
     "gbst_nodes",
     "twcst_cost",
     "twcst_weight",
@@ -305,8 +307,19 @@ def gbst_nodes(tree: GbstTree) -> Iterator[GbstNode]:
             stack.append(node.left)
 
 
-def gbst_keys(tree: GbstTree) -> tuple[int, ...]:
-    return tuple(sorted(node.eq for node in gbst_nodes(tree)))
+def gbst_join(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNode:
+    """Node with equality key e over the trees of [i, s-1] and [s, j].
+
+    A single child hangs on the right under split key i, the interval
+    start, which routes every remaining key of the interval to it.
+    """
+    if left is None and right is None:
+        return GbstNode(e)
+    if right is None:
+        return GbstNode(e, split=i, right=left)
+    if left is None:
+        return GbstNode(e, split=i, right=right)
+    return GbstNode(e, split=s, left=left, right=right)
 
 
 def _gbst_cost_weight(tree: GbstTree, inst: Instance) -> tuple[int, int]:
@@ -384,8 +397,8 @@ def twcst_leaf_keys(tree: TwcstTree) -> tuple[int, ...]:
         if isinstance(node, Leaf):
             keys.append(node.key)
         else:
-            stack.append((node.yes))
-            stack.append((node.no))
+            stack.append(node.yes)
+            stack.append(node.no)
     return tuple(sorted(keys))
 
 
@@ -428,12 +441,27 @@ class Verdict:
         return Verdict(not violations, tuple(violations))
 
 
-def _expected_keys(interval: Interval, holes: Iterable[int], n: int) -> set[int]:
+def _key_violations(
+    placed: Iterable[int], interval: Interval, holes: Iterable[int], n: int, kind: str
+) -> tuple[set[int], list[str]]:
+    """The keys of (interval, holes), and how the keys *placed* in a tree
+    differ from them: duplicated, unexpected or missing."""
     interval.validate_for(n)
     holes = set(holes)
     if not holes <= set(interval.keys()):
         raise ValueError("hole set must be contained in the interval")
-    return set(interval.keys()) - holes
+    expected = set(interval.keys()) - holes
+    violations: list[str] = []
+    seen: set[int] = set()
+    for k in placed:
+        if k in seen:
+            violations.append(f"duplicate {kind} key {k}")
+        seen.add(k)
+    for k in sorted(seen - expected):
+        violations.append(f"unexpected {kind} key {k}")
+    for k in sorted(expected - seen):
+        violations.append(f"missing {kind} key {k}")
+    return expected, violations
 
 
 def gbst_validate(
@@ -446,20 +474,8 @@ def gbst_validate(
     the split key) ends at that key's node.  Split-key routing is checked
     behaviorally; any separating value is acceptable.
     """
-    expected = _expected_keys(interval, holes, inst.n)
-    violations: list[str] = []
-
-    nodes = list(gbst_nodes(tree))
-    eqs = [node.eq for node in nodes]
-    seen: set[int] = set()
-    for eq in eqs:
-        if eq in seen:
-            violations.append(f"duplicate equality key {eq}")
-        seen.add(eq)
-    for eq in sorted(seen - expected):
-        violations.append(f"unexpected equality key {eq}")
-    for missing in sorted(expected - seen):
-        violations.append(f"missing equality key {missing}")
+    eqs = (node.eq for node in gbst_nodes(tree))
+    expected, violations = _key_violations(eqs, interval, holes, inst.n, "equality")
     if violations:
         return Verdict.failures(violations)
 
@@ -482,27 +498,8 @@ def twcst_validate(
     tree: TwcstTree, interval: Interval, holes: Iterable[int], inst: Instance
 ) -> Verdict:
     """Check that *tree* resolves every non-hole key of the interval at its leaf."""
-    expected = _expected_keys(interval, holes, inst.n)
-    violations: list[str] = []
-
-    leaf_list = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            leaf_list.append(node.key)
-        else:
-            stack.append(node.yes)
-            stack.append(node.no)
-    seen: set[int] = set()
-    for k in leaf_list:
-        if k in seen:
-            violations.append(f"duplicate leaf key {k}")
-        seen.add(k)
-    for k in sorted(seen - expected):
-        violations.append(f"unexpected leaf key {k}")
-    for k in sorted(expected - seen):
-        violations.append(f"missing leaf key {k}")
+    leaves = twcst_leaf_keys(tree)
+    expected, violations = _key_violations(leaves, interval, holes, inst.n, "leaf")
     if violations:
         return Verdict.failures(violations)
 
@@ -638,3 +635,68 @@ class LeastWeightOrder:
         """Key with the lowest (weight, index) among a nonempty permuted mask."""
         low = perm_mask & -perm_mask
         return self.key_at_rank[low.bit_length() - 1]
+
+
+def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
+    """Reject a hole count outside 0..|I| - min_queries."""
+    max_h = interval.size - min_queries
+    if not 0 <= h <= max_h:
+        raise ValueError(f"hole count {h} out of range 0..{max_h}")
+
+
+class DpTable:
+    """Memo of a flawed (interval, hole count) DP over every (i, j, h)
+    inside a root interval.
+
+    A subproblem must keep ``min_queries`` keys, so h runs over
+    0..|I| - min_queries.  Subclasses implement ``_fill``, which stores in
+    ``_grid[(i, j)]`` one cell per h, laid out as
+    (cost, weight, used_mask, used_perm, tree, choice).
+    """
+
+    min_queries = 0
+
+    def __init__(self, inst: Instance, interval: Optional[Interval] = None):
+        if interval is None:
+            interval = inst.full_interval()
+        interval.validate_for(inst.n)
+        if interval.empty:
+            raise ValueError("root interval must be nonempty")
+        self.inst = inst
+        self.interval = interval
+        self._order = LeastWeightOrder(inst)
+        self._grid: dict[tuple[int, int], list[tuple]] = {}
+        self._fill()
+
+    @classmethod
+    def solve(cls, inst: Instance, interval: Interval, h: int) -> SolveResult:
+        """Run the DP for one (interval, hole count) subproblem."""
+        check_hole_count(h, interval, cls.min_queries)
+        return cls(inst, interval).result(interval.i, interval.j, h)
+
+    def _cell(self, i: int, j: int, h: int) -> tuple:
+        row = self._grid.get((i, j))
+        if row is None:
+            raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
+        if not 0 <= h < len(row):
+            raise ValueError(f"hole count {h} out of range 0..{len(row) - 1}")
+        return row[h]
+
+    def result(self, i: int, j: int, h: int) -> SolveResult:
+        cost, weight, used_mask, _, tree, _ = self._cell(i, j, h)
+        return SolveResult(cost=cost, tree=tree, used_mask=used_mask, weight=weight)
+
+    def choice(self, i: int, j: int, h: int) -> tuple | None:
+        """The cell's backpointer, in the subclass's format; None at bases."""
+        return self._cell(i, j, h)[5]
+
+    def cost(self, i: int, j: int, h: int) -> int:
+        return self._cell(i, j, h)[0]
+
+    def cells(self) -> Iterator[tuple[int, int, int]]:
+        """All (i, j, h) coordinates with i <= j, ascending."""
+        lo, hi = self.interval.i, self.interval.j
+        for i in range(lo, hi + 1):
+            for j in range(i, hi + 1):
+                for h in range(j - i + 2 - self.min_queries):
+                    yield (i, j, h)

@@ -21,12 +21,13 @@ from .model import (
     EQ,
     LT,
     Cmp,
-    GbstNode,
     GbstTree,
     Instance,
     Interval,
     Leaf,
     TwcstTree,
+    check_hole_count,
+    gbst_join,
     mask_of,
     range_mask,
     twcst_leaf_depths,
@@ -40,10 +41,6 @@ __all__ = [
     "SizeLimitError",
     "GbstOracle",
     "TwcstOracle",
-    "gbst_opt",
-    "gbst_opt_star",
-    "twcst_opt",
-    "twcst_opt_star",
     "placement_lower_bound",
     "DepthSeq",
     "depth_seq",
@@ -72,35 +69,43 @@ def _as_mask(holes: Iterable[int] | int) -> int:
     return mask_of(holes)
 
 
-class GbstOracle:
-    """Exact minimum-cost generalized binary split trees for one instance.
+class ExactOracle:
+    """Exact optima for (interval, hole set) subproblems of one instance.
 
-    The memo is shared across all top-level queries on the oracle, so
-    enumerating hole sets at a fixed interval reuses subproblem work.
+    A subproblem must keep ``min_queries`` keys, so opt_star's h runs over
+    0..|I| - min_queries.  Subclasses supply the cost kernel and ``_build``,
+    which reconstructs an optimal tree from the kernel's memo.  The memo is
+    shared across all top-level queries on the oracle, so enumerating hole
+    sets at a fixed interval reuses subproblem work.
     """
 
-    def __init__(self, inst: Instance, limit: int = DEFAULT_GBST_LIMIT):
+    min_queries = 0
+
+    def __init__(self, inst: Instance, limit: int, kernel):
         self.inst = inst
         self.limit = limit
-        self._kernel = GbstCostKernel(inst.weights)
+        self._kernel = kernel
 
-    def _check(self, interval: Interval) -> None:
+    def _mask(self, interval: Interval, holes: Iterable[int] | int) -> int:
+        """Hole mask of a subproblem the oracle accepts; raises otherwise."""
         interval.validate_for(self.inst.n)
         if interval.size > self.limit:
             raise SizeLimitError(interval.size, self.limit)
-
-    def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, GbstTree]:
-        """Exact optimum over all valid trees for (interval, holes)."""
-        self._check(interval)
         mask = _as_mask(holes) & interval.mask()
+        if (interval.mask() & ~mask).bit_count() < self.min_queries:
+            raise ValueError("subproblem must keep at least one query")
+        return mask
+
+    def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, object]:
+        """Exact optimum over all valid trees for (interval, holes)."""
+        mask = self._mask(interval, holes)
         cost = self._kernel.cost(interval.i, interval.j, mask)
         return cost, self._build(interval.i, interval.j, mask)
 
     def opt_cost(self, interval: Interval, holes: Iterable[int] | int = 0) -> int:
-        self._check(interval)
-        return self._kernel.cost(interval.i, interval.j, _as_mask(holes) & interval.mask())
+        return self._kernel.cost(interval.i, interval.j, self._mask(interval, holes))
 
-    def opt_star(self, interval: Interval, h: int) -> tuple[int, GbstTree, tuple[int, ...]]:
+    def opt_star(self, interval: Interval, h: int) -> tuple[int, object, tuple[int, ...]]:
         """Minimum over all hole sets of size h; returns the argmin set too."""
         cost, holes = self._star_argmin(interval, h)
         return cost, self._build(interval.i, interval.j, mask_of(holes)), holes
@@ -109,9 +114,8 @@ class GbstOracle:
         return self._star_argmin(interval, h)[0]
 
     def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...]]:
-        self._check(interval)
-        if not 0 <= h <= interval.size:
-            raise ValueError(f"hole count {h} out of range 0..{interval.size}")
+        self._mask(interval, 0)
+        check_hole_count(h, interval, self.min_queries)
         best = None
         best_holes: tuple[int, ...] = ()
         kernel_cost = self._kernel.cost
@@ -120,6 +124,13 @@ class GbstOracle:
             if best is None or c < best:
                 best, best_holes = c, holes
         return best, best_holes
+
+
+class GbstOracle(ExactOracle):
+    """Exact minimum-cost generalized binary split trees for one instance."""
+
+    def __init__(self, inst: Instance, limit: int = DEFAULT_GBST_LIMIT):
+        super().__init__(inst, limit, GbstCostKernel(inst.weights))
 
     def _build(self, i: int, j: int, mask: int) -> GbstTree:
         full = range_mask(i, j)
@@ -141,22 +152,13 @@ class GbstOracle:
                 lm = me & left_full
                 rm = me & right_full
                 if kernel_cost(i, s - 1, lm) + kernel_cost(s, j, rm) == target:
-                    e = low.bit_length()
                     left = self._build(i, s - 1, lm)
                     right = self._build(s, j, rm)
-                    if left is None and right is None:
-                        return GbstNode(e)
-                    if right is None:
-                        # One child only: hang it on the right under split i,
-                        # which routes every key of the interval to it.
-                        return GbstNode(e, split=i, right=left)
-                    if left is None:
-                        return GbstNode(e, split=i, right=right)
-                    return GbstNode(e, split=s, left=left, right=right)
+                    return gbst_join(low.bit_length(), s, i, left, right)
         raise AssertionError("memoized optimum not reproducible; kernel bug")
 
 
-class TwcstOracle:
+class TwcstOracle(ExactOracle):
     """Exact minimum-cost two-way comparison search trees for one instance.
 
     ``prune_zero_eq`` skips equality tests on zero-weight keys whenever more
@@ -166,54 +168,16 @@ class TwcstOracle:
     instances with many zero-weight keys.
     """
 
+    min_queries = 1
+
     def __init__(
         self,
         inst: Instance,
         limit: int = DEFAULT_TWCST_LIMIT,
         prune_zero_eq: bool = True,
     ):
-        self.inst = inst
-        self.limit = limit
+        super().__init__(inst, limit, TwcstCostKernel(inst.weights, prune_zero_eq))
         self.prune_zero_eq = prune_zero_eq
-        self._kernel = TwcstCostKernel(inst.weights, prune_zero_eq)
-
-    def _check(self, interval: Interval, mask: int) -> None:
-        interval.validate_for(self.inst.n)
-        if interval.size > self.limit:
-            raise SizeLimitError(interval.size, self.limit)
-        if interval.mask() & ~mask == 0:
-            raise ValueError("2WCST subproblem must keep at least one query")
-
-    def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, TwcstTree]:
-        mask = _as_mask(holes) & interval.mask()
-        self._check(interval, mask)
-        cost = self._kernel.cost(interval.i, interval.j, mask)
-        return cost, self._build(interval.i, interval.j, mask)
-
-    def opt_cost(self, interval: Interval, holes: Iterable[int] | int = 0) -> int:
-        mask = _as_mask(holes) & interval.mask()
-        self._check(interval, mask)
-        return self._kernel.cost(interval.i, interval.j, mask)
-
-    def opt_star(self, interval: Interval, h: int) -> tuple[int, TwcstTree, tuple[int, ...]]:
-        cost, holes = self._star_argmin(interval, h)
-        return cost, self._build(interval.i, interval.j, mask_of(holes)), holes
-
-    def opt_star_cost(self, interval: Interval, h: int) -> int:
-        return self._star_argmin(interval, h)[0]
-
-    def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...]]:
-        self._check(interval, 0)
-        if not 0 <= h <= interval.size - 1:
-            raise ValueError(f"hole count {h} out of range 0..{interval.size - 1}")
-        best = None
-        best_holes: tuple[int, ...] = ()
-        kernel_cost = self._kernel.cost
-        for holes in combinations(interval.keys(), h):
-            c = kernel_cost(interval.i, interval.j, mask_of(holes))
-            if best is None or c < best:
-                best, best_holes = c, holes
-        return best, best_holes
 
     def _build(self, i: int, j: int, mask: int) -> TwcstTree:
         full = range_mask(i, j)
@@ -244,39 +208,6 @@ class TwcstOracle:
             if kernel_cost(i, s - 1, lm) + kernel_cost(s, j, rm) == target:
                 return Cmp(LT, s, yes=self._build(i, s - 1, lm), no=self._build(s, j, rm))
         raise AssertionError("memoized optimum not reproducible; kernel bug")
-
-
-# One-shot conveniences; for repeated queries on one instance build an
-# oracle object so the memo is shared across calls.
-
-def gbst_opt(
-    inst: Instance,
-    interval: Interval,
-    holes: Iterable[int] | int = 0,
-    limit: int = DEFAULT_GBST_LIMIT,
-) -> tuple[int, GbstTree]:
-    return GbstOracle(inst, limit).opt(interval, holes)
-
-
-def gbst_opt_star(
-    inst: Instance, interval: Interval, h: int, limit: int = DEFAULT_GBST_LIMIT
-) -> tuple[int, GbstTree, tuple[int, ...]]:
-    return GbstOracle(inst, limit).opt_star(interval, h)
-
-
-def twcst_opt(
-    inst: Instance,
-    interval: Interval,
-    holes: Iterable[int] | int = 0,
-    limit: int = DEFAULT_TWCST_LIMIT,
-) -> tuple[int, TwcstTree]:
-    return TwcstOracle(inst, limit).opt(interval, holes)
-
-
-def twcst_opt_star(
-    inst: Instance, interval: Interval, h: int, limit: int = DEFAULT_TWCST_LIMIT
-) -> tuple[int, TwcstTree, tuple[int, ...]]:
-    return TwcstOracle(inst, limit).opt_star(interval, h)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .model import (
     TwcstTree,
     gbst_nodes,
     gbst_validate,
+    twcst_leaf_keys,
     twcst_validate,
 )
 
@@ -44,15 +45,7 @@ class InvalidTreeError(ValueError):
 def derive_subproblem(tree, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
     """Span interval and hole set implied by a standalone tree."""
     if isinstance(tree, (Leaf, Cmp)):
-        keys = set()
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                keys.add(node.key)
-            else:
-                stack.append(node.yes)
-                stack.append(node.no)
+        keys = set(twcst_leaf_keys(tree))
     else:
         keys = {node.eq for node in gbst_nodes(tree)}
     if not keys:

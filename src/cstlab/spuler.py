@@ -23,36 +23,28 @@ leaf takes the minimum-weight key (lowest index on ties).
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from .model import (
     EQ,
     LT,
     Cmp,
+    DpTable,
     Instance,
     Interval,
     Leaf,
-    LeastWeightOrder,
     SolveResult,
 )
 
 __all__ = ["SpulerTable", "spuler_solve", "spuler_table"]
 
 
-class SpulerTable:
-    """Memo of the DP over every (i, j, h) inside a root interval."""
+class SpulerTable(DpTable):
+    """Spuler's DP over every (i, j, h) inside a root interval, h <= |I| - 1.
 
-    def __init__(self, inst: Instance, interval: Optional[Interval] = None):
-        if interval is None:
-            interval = inst.full_interval()
-        interval.validate_for(inst.n)
-        if interval.empty:
-            raise ValueError("root interval must be nonempty")
-        self.inst = inst
-        self.interval = interval
-        self._order = LeastWeightOrder(inst)
-        self._grid: dict[tuple[int, int], list[tuple]] = {}
-        self._fill()
+    Backpointers are ("eq", e) or ("lt", s, h1, h2); None at the one-leaf
+    base h = |I| - 1.
+    """
+
+    min_queries = 1
 
     def _fill(self) -> None:
         inst = self.inst
@@ -125,32 +117,6 @@ class SpulerTable:
                             ("lt", s, h1, h - h1),
                         )
 
-    def _cell(self, i: int, j: int, h: int) -> tuple:
-        row = self._grid.get((i, j))
-        if row is None:
-            raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
-        if not 0 <= h < len(row):
-            raise ValueError(f"hole count {h} out of range 0..{len(row) - 1}")
-        return row[h]
-
-    def result(self, i: int, j: int, h: int) -> SolveResult:
-        cost, weight, used_mask, _, tree, _ = self._cell(i, j, h)
-        return SolveResult(cost=cost, tree=tree, used_mask=used_mask, weight=weight)
-
-    def choice(self, i: int, j: int, h: int) -> tuple | None:
-        """Chosen candidate: ("eq", e) or ("lt", s, h1, h2); None at bases."""
-        return self._cell(i, j, h)[5]
-
-    def cost(self, i: int, j: int, h: int) -> int:
-        return self._cell(i, j, h)[0]
-
-    def cells(self) -> Iterator[tuple[int, int, int]]:
-        lo, hi = self.interval.i, self.interval.j
-        for i in range(lo, hi + 1):
-            for j in range(i, hi + 1):
-                for h in range(j - i + 1):
-                    yield (i, j, h)
-
 
 def spuler_table(inst: Instance) -> SpulerTable:
     """Full table over every subinterval of the instance."""
@@ -159,6 +125,4 @@ def spuler_table(inst: Instance) -> SpulerTable:
 
 def spuler_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:
     """Run the DP for one (interval, hole count) subproblem."""
-    if not 0 <= h <= interval.size - 1:
-        raise ValueError(f"hole count {h} out of range 0..{interval.size - 1}")
-    return SpulerTable(inst, interval).result(interval.i, interval.j, h)
+    return SpulerTable.solve(inst, interval, h)

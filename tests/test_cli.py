@@ -201,6 +201,12 @@ class TestFuzz:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,value", [("--wmax", "0"), ("--holes-max", "-1")])
+    def test_bad_flag_usage_error(self, flag, value, capsys):
+        rc = main(["fuzz", "--model", "twcst", "--trials", "1", flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_discrepancy_with_flag_exits_1(self, monkeypatch, capsys):
         import dataclasses
 

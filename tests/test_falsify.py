@@ -2,8 +2,10 @@
 import pytest
 
 from cstlab.bench import build_instance, fig3_witness_tree
+from cstlab.cli import main
 from cstlab.falsify import (
     GBSPLIT,
+    MODELS,
     TWCST,
     CampaignConfig,
     InjectedCase,
@@ -12,8 +14,10 @@ from cstlab.falsify import (
     random_instance,
     replay_trial,
 )
-from cstlab.model import Instance
+from cstlab.hw import hw_solve
+from cstlab.model import Instance, format_instance
 from cstlab.oracle import SizeLimitError
+from cstlab.spuler import spuler_solve
 
 
 class TestRandomInstance:
@@ -67,8 +71,10 @@ class TestAuditSubproblems:
 
     def test_size_refusal_propagates(self):
         i31 = build_instance("I31").instance
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError) as exc:
             audit_subproblems(GBSPLIT, i31)
+        # The whole instance is refused, not its first oversized cell.
+        assert exc.value.size == 31
 
     def test_holes_max_restricts(self):
         i15 = build_instance("I15").instance
@@ -162,3 +168,51 @@ class TestCampaign:
         found = audit_subproblems(TWCST, inst)
         cells = {(d.i, d.j, d.h): (d.flawed_cost, d.oracle_cost) for d in found}
         assert cells[(1, 14, 1)] == (120, 119)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+class TestModels:
+    """Each family's table, oracle and CLI agree on one max-holes rule."""
+
+    SOLVERS = {"hw": hw_solve, "spuler": spuler_solve}
+
+    def test_min_queries_agree(self, name):
+        spec = MODELS[name]
+        want = {GBSPLIT: 0, TWCST: 1}[name]
+        assert spec.table.min_queries == spec.oracle.min_queries == want
+
+    def test_cells_are_the_admissible_hole_counts(self, name):
+        spec = MODELS[name]
+        n = 5
+        mq = spec.table.min_queries
+        want = {
+            (i, j, h)
+            for i in range(1, n + 1)
+            for j in range(i, n + 1)
+            for h in range(n + 2)
+            if h <= j - i + 1 - mq
+        }
+        cells = list(spec.table(random_instance(n, 9, 3)).cells())
+        assert len(cells) == len(want)
+        assert set(cells) == want
+
+    def test_dp_and_oracle_reject_the_same_hole_count(self, name):
+        spec = MODELS[name]
+        solve = self.SOLVERS[spec.dp]
+        inst = random_instance(4, 9, 5)
+        full = inst.full_interval()
+        bad = full.size - spec.table.min_queries + 1
+        with pytest.raises(ValueError) as dp_err:
+            solve(inst, full, bad)
+        with pytest.raises(ValueError) as oracle_err:
+            spec.oracle(inst).opt_star_cost(full, bad)
+        assert str(dp_err.value) == str(oracle_err.value)
+        assert str(dp_err.value) == f"hole count {bad} out of range 0..{bad - 1}"
+        assert solve(inst, full, bad - 1).cost == spec.oracle(inst).opt_star_cost(full, bad - 1)
+
+    def test_cli_pairs_the_dp_with_its_model(self, name, tmp_path, capsys):
+        path = tmp_path / "inst.txt"
+        path.write_text(format_instance(random_instance(4, 9, 5)))
+        for other, spec in MODELS.items():
+            argv = ["solve", "--model", name, "--alg", spec.dp, "--instance", str(path)]
+            assert main(argv) == (0 if other == name else 2)
