@@ -21,8 +21,23 @@ h1 + h2 = h + 1 is the arithmetic that makes the recursion well-formed.
 
 Ties are broken deterministically: smallest equality key, then smallest
 split position, then smallest h1.
+
+The fill keeps, next to each interval's cells, two flat rows indexed by h:
+cost + weight and the rank-permuted mask of the keys placed.  A candidate
+then costs its two rows' entries plus the weight of its free key, so the
+candidate loop reads two ints per side and unpacks no cell.  It skips the
+free-key lookup of a candidate whose bound (the two entries plus the least
+weight in I) strictly exceeds the best cost so far: a candidate of equal
+cost can still win the tie on a smaller e.  Candidates run in ascending
+(s, h1) order, so comparing (cost, e) with a strict < keeps the earliest
+among full ties, as the tie-break rules above require.  Split s = j+1 (one
+child, on the left) is never tried: it offers the same cost and key as
+s = i (one child, on the right), which comes first.  Trees and
+backpointers are built once per cell, from the winning (s, h1, e).
 """
 from __future__ import annotations
+
+from operator import add
 
 from .model import (
     DpTable,
@@ -45,51 +60,89 @@ class HwTable(DpTable):
     """
 
     def _fill(self) -> None:
-        inst = self.inst
+        weights = self.inst.weights
         order = self._order
+        key_at_rank = order.key_at_rank
+        weight_at_rank = order.weight_at_rank
+        bit = order.bit
         lo, hi = self.interval.i, self.interval.j
         grid = self._grid
+        # Flat rows by h: cost + weight, and used_perm.
+        cw_rows: dict[tuple[int, int], list[int]] = {}
+        perm_rows: dict[tuple[int, int], list[int]] = {}
         for i in range(lo, hi + 2):
             grid[(i, i - 1)] = [_EMPTY_CELL]
+            cw_rows[(i, i - 1)] = [0]
+            perm_rows[(i, i - 1)] = [0]
 
         for length in range(1, hi - lo + 2):
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
                 iv_perm = order.interval_perm(i, j)
+                least_w = min(weights[i - 1 : j])
+                # Splits with two nonempty sides; the right row is reversed
+                # so that h1 ascending reads it ascending too.
+                sides = [
+                    (
+                        s,
+                        s - i,
+                        j - s + 1,
+                        cw_rows[(i, s - 1)],
+                        perm_rows[(i, s - 1)],
+                        cw_rows[(s, j)][::-1],
+                        perm_rows[(s, j)],
+                    )
+                    for s in range(i + 1, j + 1)
+                ]
                 row: list[tuple] = [None] * (length + 1)
+                cw_row = [0] * (length + 1)
+                perm_row = [0] * (length + 1)
                 grid[(i, j)] = row
+                cw_rows[(i, j)] = cw_row
+                perm_rows[(i, j)] = perm_row
                 row[length] = _EMPTY_CELL
                 for h in range(length - 1, -1, -1):
-                    best_rank = None
-                    best = None
-                    for s in range(i, j + 2):
-                        row_l = grid[(i, s - 1)]
-                        row_r = grid[(s, j)]
-                        size_l = s - i
-                        size_r = j - s + 1
-                        h1_lo = max(0, h + 1 - size_r)
-                        h1_hi = min(size_l, h + 1)
-                        for h1 in range(h1_lo, h1_hi + 1):
-                            cl = row_l[h1]
-                            cr = row_r[h + 1 - h1]
-                            used_perm = cl[3] | cr[3]
-                            e = order.least(iv_perm & ~used_perm)
-                            weight = cl[1] + cr[1] + inst.weight(e)
-                            cost = weight + cl[0] + cr[0]
-                            rank = (cost, e, s, h1)
-                            if best_rank is None or rank < best_rank:
-                                best_rank = rank
-                                best = (s, h1, cl, cr, e, weight, cost)
-                    s, h1, cl, cr, e, weight, cost = best
-                    tree = gbst_join(e, s, i, cl[4], cr[4])
+                    # s = i, h1 = 0: the single child is (I, h+1).
+                    free = iv_perm & ~perm_row[h + 1]
+                    rank = (free & -free).bit_length() - 1
+                    best_cost = cw_row[h + 1] + weight_at_rank[rank]
+                    best_e = key_at_rank[rank]
+                    best_s, best_h1 = i, 0
+                    limit = best_cost - least_w
+                    for s, size_l, size_r, cwl, pl, cwr_rev, pr in sides:
+                        h1_lo = h + 1 - size_r if h >= size_r else 0
+                        h1_end = size_l + 1 if size_l <= h else h + 2
+                        # cwr[h + 1 - h1] is cwr_rev[off + h1].
+                        off = size_r - h - 1
+                        bases = map(add, cwl[h1_lo:h1_end], cwr_rev[off + h1_lo : off + h1_end])
+                        for h1, base in enumerate(bases, h1_lo):
+                            if base > limit:  # costs more than best_cost
+                                continue
+                            free = iv_perm & ~(pl[h1] | pr[h + 1 - h1])
+                            rank = (free & -free).bit_length() - 1
+                            cost = base + weight_at_rank[rank]
+                            if cost < best_cost or (
+                                cost == best_cost and key_at_rank[rank] < best_e
+                            ):
+                                best_cost = cost
+                                best_e = key_at_rank[rank]
+                                best_s, best_h1 = s, h1
+                                limit = cost - least_w
+                    s, h1, e = best_s, best_h1, best_e
+                    cl = grid[(i, s - 1)][h1]
+                    cr = grid[(s, j)][h + 1 - h1]
+                    weight = cl[1] + cr[1] + weights[e - 1]
+                    used_perm = cl[3] | cr[3] | bit[e]
                     row[h] = (
-                        cost,
+                        best_cost,
                         weight,
                         cl[2] | cr[2] | (1 << (e - 1)),
-                        cl[3] | cr[3] | order.bit(e),
-                        tree,
+                        used_perm,
+                        gbst_join(e, s, i, cl[4], cr[4]),
                         (s, h1, h + 1 - h1, e),
                     )
+                    cw_row[h] = best_cost + weight
+                    perm_row[h] = used_perm
 
 
 def hw_table(inst: Instance) -> HwTable:

@@ -323,14 +323,22 @@ def gbst_join(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNo
 
 
 def _gbst_cost_weight(tree: GbstTree, inst: Instance) -> tuple[int, int]:
-    if tree is None:
-        return 0, 0
-    if not 1 <= tree.eq <= inst.n:
-        raise ValueError(f"equality key {tree.eq} out of range 1..{inst.n}")
-    cl, wl = _gbst_cost_weight(tree.left, inst)
-    cr, wr = _gbst_cost_weight(tree.right, inst)
-    w = wl + wr + inst.weight(tree.eq)
-    return w + cl + cr, w
+    """(cost, weight) by the closed form: a node at depth d adds
+    weight(eq) * (d + 1) to the cost.  Iterative, for trees of any depth."""
+    cost = weight = 0
+    stack = [(tree, 1)] if tree is not None else []
+    while stack:
+        node, level = stack.pop()
+        if not 1 <= node.eq <= inst.n:
+            raise ValueError(f"equality key {node.eq} out of range 1..{inst.n}")
+        w = inst.weight(node.eq)
+        weight += w
+        cost += w * level
+        if node.right is not None:
+            stack.append((node.right, level + 1))
+        if node.left is not None:
+            stack.append((node.left, level + 1))
+    return cost, weight
 
 
 def gbst_cost(tree: GbstTree, inst: Instance) -> int:
@@ -403,14 +411,22 @@ def twcst_leaf_keys(tree: TwcstTree) -> tuple[int, ...]:
 
 
 def _twcst_cost_weight(tree: TwcstTree, inst: Instance) -> tuple[int, int]:
-    if isinstance(tree, Leaf):
-        if not 1 <= tree.key <= inst.n:
-            raise ValueError(f"leaf key {tree.key} out of range 1..{inst.n}")
-        return 0, inst.weight(tree.key)
-    cy, wy = _twcst_cost_weight(tree.yes, inst)
-    cn, wn = _twcst_cost_weight(tree.no, inst)
-    w = wy + wn
-    return w + cy + cn, w
+    """(cost, weight) by the closed form: a leaf below d comparisons adds
+    weight * d to the cost.  Iterative, for trees of any depth."""
+    cost = weight = 0
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Leaf):
+            if not 1 <= node.key <= inst.n:
+                raise ValueError(f"leaf key {node.key} out of range 1..{inst.n}")
+            w = inst.weight(node.key)
+            weight += w
+            cost += w * depth
+        else:
+            stack.append((node.no, depth + 1))
+            stack.append((node.yes, depth + 1))
+    return cost, weight
 
 
 def twcst_cost(tree: TwcstTree, inst: Instance) -> int:
@@ -522,24 +538,32 @@ def check_order_property(tree: GbstTree) -> Verdict:
     than every equality key in M's right subtree.  (M's own key is free.)
     """
     violations: list[str] = []
-
-    def span(node: GbstTree) -> tuple[int, int] | None:
+    # Post-order (left, right, node) on an explicit stack, so trees of any
+    # depth work; spans holds the (min, max) key of each finished subtree,
+    # None for an empty one.
+    spans: list[tuple[int, int] | None] = []
+    stack: list[tuple[GbstTree, bool]] = [(tree, False)]
+    while stack:
+        node, children_done = stack.pop()
         if node is None:
-            return None
-        lo = hi = node.eq
-        ls = span(node.left)
-        rs = span(node.right)
-        if ls and rs and ls[1] >= rs[0]:
-            violations.append(
-                f"keys around node {node.eq}: left max {ls[1]} >= right min {rs[0]}"
-            )
-        for s in (ls, rs):
-            if s:
-                lo = min(lo, s[0])
-                hi = max(hi, s[1])
-        return lo, hi
-
-    span(tree)
+            spans.append(None)
+        elif not children_done:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+        else:
+            rs = spans.pop()
+            ls = spans.pop()
+            if ls and rs and ls[1] >= rs[0]:
+                violations.append(
+                    f"keys around node {node.eq}: left max {ls[1]} >= right min {rs[0]}"
+                )
+            lo = hi = node.eq
+            for s in (ls, rs):
+                if s:
+                    lo = min(lo, s[0])
+                    hi = max(hi, s[1])
+            spans.append((lo, hi))
     return Verdict.failures(violations)
 
 
@@ -598,43 +622,27 @@ class SolveResult:
 
 
 class LeastWeightOrder:
-    """Least-(weight, index) key selection over mask-encoded key sets.
+    """Keys ranked by ascending (weight, index), for least-weight selection.
 
-    Keys are re-indexed by ascending (weight, index) rank so that picking a
-    least-weight key from any subset is a lowest-set-bit operation on the
-    rank-permuted mask.
+    A key set is encoded as a rank-permuted mask, bit r standing for the key
+    of rank r, so a least-weight key of any set is its lowest set bit: for a
+    nonempty mask m it is ``key_at_rank[(m & -m).bit_length() - 1]``, of
+    weight ``weight_at_rank[...]`` at the same rank.  ``bit[k]`` is key k's
+    bit (``bit[0]`` is unused).
     """
 
     def __init__(self, inst: Instance):
         order = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
         self.key_at_rank = tuple(order)
+        self.weight_at_rank = tuple(inst.weight(k) for k in order)
         bits = [0] * (inst.n + 1)
         for rank, key in enumerate(order):
             bits[key] = 1 << rank
-        self._bit = tuple(bits)
-        self._interval_cache: dict[tuple[int, int], int] = {}
-
-    def bit(self, key: int) -> int:
-        return self._bit[key]
-
-    def perm_mask(self, keys: Iterable[int]) -> int:
-        m = 0
-        for k in keys:
-            m |= self._bit[k]
-        return m
+        self.bit = tuple(bits)
 
     def interval_perm(self, i: int, j: int) -> int:
-        try:
-            return self._interval_cache[(i, j)]
-        except KeyError:
-            m = self.perm_mask(range(i, j + 1))
-            self._interval_cache[(i, j)] = m
-            return m
-
-    def least(self, perm_mask: int) -> int:
-        """Key with the lowest (weight, index) among a nonempty permuted mask."""
-        low = perm_mask & -perm_mask
-        return self.key_at_rank[low.bit_length() - 1]
+        """The permuted mask of keys i..j (their bits are distinct)."""
+        return sum(self.bit[i : j + 1])
 
 
 def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:

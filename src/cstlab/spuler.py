@@ -20,8 +20,20 @@ Subproblem (I, h) with I = [i, j] and at least one query (h <= |I| - 1):
 
 Ties prefer T_= over T_<, then smallest s, then smallest h1; the base-case
 leaf takes the minimum-weight key (lowest index on ties).
+
+The fill keeps, next to each interval's cells, a flat row of cost + weight
+indexed by h; a T_< candidate costs its two rows' entries.  For each cell
+the T_< candidates of every split are gathered, in ascending (s, h1) order,
+from the concatenated rows of the left sides and of the right sides, summed
+and minimized in C; ``min`` and ``list.index`` keep the earliest of equal
+candidates, and T_= wins a tie against the best of them.  The positions of
+the gather depend only on the interval's length and h, so they are computed
+once per length.  Trees and backpointers are built once per cell, from the
+winning candidate.
 """
 from __future__ import annotations
+
+from operator import add
 
 from .model import (
     EQ,
@@ -37,6 +49,38 @@ from .model import (
 __all__ = ["SpulerTable", "spuler_solve", "spuler_table"]
 
 
+def _lt_gathers(length: int) -> tuple[list, list]:
+    """Where the T_< candidates of an interval of *length* keys sit.
+
+    Splits s = i+1..j are numbered by size_l = s - i.  The rows of the left
+    sides, of size_l entries each, are concatenated in split order, which
+    puts (size_l, h1) at position ``size_l * (size_l - 1) // 2 + h1``; the
+    rows of the right sides, of size_r = length - size_l entries each,
+    likewise.  Returns, per h, the positions of the candidates in each
+    concatenation, splits ascending and then h1 ascending; and, per left
+    position, its (size_l, h1).
+    """
+    # Slices of one list of positions, so that all gathers share its ints.
+    pos = list(range(length * (length - 1) // 2))
+    split_of = [(size_l, h1) for size_l in range(1, length) for h1 in range(size_l)]
+    gathers = []
+    for h in range(length - 1):
+        at_l: list[int] = []
+        at_r: list[int] = []
+        start_l = start_r = 0
+        for size_l in range(1, length):
+            size_r = length - size_l
+            a = max(0, h + 1 - size_r)
+            b = min(size_l, h + 1)
+            at_l += pos[start_l + a : start_l + b]
+            # h2 = h - h1 runs down from h - a to h - b + 1.
+            at_r += reversed(pos[start_r + h - b + 1 : start_r + h - a + 1])
+            start_l += size_l
+            start_r += size_r
+        gathers.append((at_l, at_r))
+    return gathers, split_of
+
+
 class SpulerTable(DpTable):
     """Spuler's DP over every (i, j, h) inside a root interval, h <= |I| - 1.
 
@@ -47,75 +91,71 @@ class SpulerTable(DpTable):
     min_queries = 1
 
     def _fill(self) -> None:
-        inst = self.inst
+        weights = self.inst.weights
         order = self._order
+        key_at_rank = order.key_at_rank
+        bit = order.bit
         lo, hi = self.interval.i, self.interval.j
         grid = self._grid
+        # Flat rows by h: cost + weight.
+        cw_rows: dict[tuple[int, int], list[int]] = {}
 
         for length in range(1, hi - lo + 2):
+            gathers, split_of = _lt_gathers(length)
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
                 iv_perm = order.interval_perm(i, j)
+                lefts: list[int] = []
+                rights: list[int] = []
+                for s in range(i + 1, j + 1):
+                    lefts += cw_rows[(i, s - 1)]
+                    rights += cw_rows[(s, j)]
+                left_at, right_at = lefts.__getitem__, rights.__getitem__
                 # Cell layout: (cost, weight, used_mask, used_perm, tree, choice)
                 row: list[tuple] = [None] * length
+                cw_row = [0] * length
                 grid[(i, j)] = row
+                cw_rows[(i, j)] = cw_row
 
-                e = order.least(iv_perm)
-                row[length - 1] = (
-                    0,
-                    inst.weight(e),
-                    1 << (e - 1),
-                    order.bit(e),
-                    Leaf(e),
-                    None,
-                )
+                e = key_at_rank[(iv_perm & -iv_perm).bit_length() - 1]
+                row[length - 1] = (0, weights[e - 1], 1 << (e - 1), bit[e], Leaf(e), None)
+                cw_row[length - 1] = weights[e - 1]
 
                 for h in range(length - 2, -1, -1):
-                    best_rank = None
-                    best = None
                     # T_= consumes one hole and recurses on (I, h+1).
                     sub = row[h + 1]
-                    e = order.least(iv_perm & ~sub[3])
-                    weight = sub[1] + inst.weight(e)
-                    cost = weight + sub[0]
-                    best_rank = (cost, 0, 0, 0)
-                    best = ("eq", e, sub)
-                    for s in range(i + 1, j + 1):
-                        row_l = grid[(i, s - 1)]
-                        row_r = grid[(s, j)]
-                        size_l = s - i
-                        size_r = j - s + 1
-                        h1_lo = max(0, h - (size_r - 1))
-                        h1_hi = min(size_l - 1, h)
-                        for h1 in range(h1_lo, h1_hi + 1):
-                            cl = row_l[h1]
-                            cr = row_r[h - h1]
-                            weight = cl[1] + cr[1]
-                            cost = weight + cl[0] + cr[0]
-                            rank = (cost, 1, s, h1)
-                            if rank < best_rank:
-                                best_rank = rank
-                                best = ("lt", s, h1, cl, cr)
-                    if best[0] == "eq":
-                        _, e, sub = best
+                    free = iv_perm & ~sub[3]
+                    e = key_at_rank[(free & -free).bit_length() - 1]
+                    eq_cost = cw_row[h + 1] + weights[e - 1]
+                    at_l, at_r = gathers[h]
+                    lt_costs = list(map(add, map(left_at, at_l), map(right_at, at_r)))
+                    lt_cost = min(lt_costs)
+                    if eq_cost <= lt_cost:
+                        weight = sub[1] + weights[e - 1]
                         row[h] = (
-                            best_rank[0],
-                            sub[1] + inst.weight(e),
+                            eq_cost,
+                            weight,
                             sub[2] | (1 << (e - 1)),
-                            sub[3] | order.bit(e),
+                            sub[3] | bit[e],
                             Cmp(EQ, e, yes=Leaf(e), no=sub[4]),
                             ("eq", e),
                         )
+                        cw_row[h] = eq_cost + weight
                     else:
-                        _, s, h1, cl, cr = best
+                        size_l, h1 = split_of[at_l[lt_costs.index(lt_cost)]]
+                        s = i + size_l
+                        cl = grid[(i, s - 1)][h1]
+                        cr = grid[(s, j)][h - h1]
+                        weight = cl[1] + cr[1]
                         row[h] = (
-                            best_rank[0],
-                            cl[1] + cr[1],
+                            lt_cost,
+                            weight,
                             cl[2] | cr[2],
                             cl[3] | cr[3],
                             Cmp(LT, s, yes=cl[4], no=cr[4]),
                             ("lt", s, h1, h - h1),
                         )
+                        cw_row[h] = lt_cost + weight
 
 
 def spuler_table(inst: Instance) -> SpulerTable:

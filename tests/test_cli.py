@@ -1,9 +1,16 @@
 """CLI: exit codes, output grammar, end-to-end subcommands."""
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstlab.bench import build_instance
 from cstlab.cli import main
 from cstlab.model import format_instance
+from cstlab.render import FORMATS
 
 
 @pytest.fixture
@@ -272,3 +279,58 @@ class TestOtherCommands:
              "--format", "ascii"]
         )
         assert rc == 3
+
+
+# Instance file lines: well-formed key lines (labels K1.. in order) mixed
+# with comments, blanks and malformed lines.
+_MALFORMED_LINES = st.sampled_from(
+    ["K1", "K1 2 3", "K1 -4", "K1 x", "bad-label 1", "K0 1", "K1 1", "# note", ""]
+)
+
+
+@st.composite
+def _solve_argv(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    weights = draw(st.lists(st.integers(min_value=0, max_value=20), min_size=n, max_size=n))
+    lines = [f"K{k} {w}" for k, w in enumerate(weights, 1)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(_MALFORMED_LINES))
+    model, alg = draw(
+        st.sampled_from(
+            [("gbsplit", "hw"), ("gbsplit", "exact"), ("twcst", "spuler"),
+             ("twcst", "exact"), ("gbsplit", "spuler"), ("twcst", "hw")]
+        )
+    )
+    flags = ["--model", model, "--alg", alg]
+    small = st.integers(min_value=-1, max_value=n + 2)
+    if draw(st.booleans()):
+        flags += ["--holes", str(draw(small))]
+    if draw(st.booleans()):
+        flags += ["--interval", str(draw(small)), str(draw(small))]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from([f"K{k}" for k in range(0, n + 2)]), max_size=3))
+        flags += ["--holeset", ",".join(labels)]
+    if draw(st.booleans()):
+        flags += ["--render", draw(st.sampled_from(FORMATS))]
+    return "\n".join(lines) + "\n", flags
+
+
+class TestSolveExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(_solve_argv())
+    def test_exit_code_is_always_in_the_contract(self, case):
+        """Every solve call ends with 0, 1, 2 or 3 and never a traceback;
+        argparse reports its own usage errors by raising SystemExit(2)."""
+        text, flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(["solve", "--instance", path, *flags])
+                except SystemExit as exc:
+                    rc = exc.code
+        assert rc in (0, 1, 2, 3), (text, flags, rc)
+        assert "Traceback" not in err.getvalue()

@@ -1,0 +1,43 @@
+"""Differential tests: the HW and Spuler table fills must reproduce every
+cell of the reference fills in ``reference_dps`` (cost, weight, used keys,
+tree and backpointer), ties included."""
+import random
+
+import pytest
+
+import reference_dps as ref
+from cstlab.bench import build_instance
+from cstlab.falsify import random_instance
+from cstlab.hw import HwTable
+from cstlab.model import Interval
+from cstlab.spuler import SpulerTable
+
+TABLES = {"hw": (HwTable, ref.HwTable), "spuler": (SpulerTable, ref.SpulerTable)}
+SEEDS_PER_WMAX = 60
+
+
+def _assert_same_cells(name, inst, interval=None):
+    table_cls, ref_cls = TABLES[name]
+    table = table_cls(inst, interval)
+    reference = ref_cls(inst, interval)
+    assert table._grid == reference._grid, (name, inst.weights, interval)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("wmax", [1, 3, 16, 1000])
+def test_random_instances_full_and_inner_intervals(name, wmax):
+    """Low wmax and the zero-weight mass of random_instance make ties and
+    zero weights frequent."""
+    for seed in range(SEEDS_PER_WMAX):
+        n = 1 + seed % 13
+        inst = random_instance(n, wmax, 9100 + seed)
+        _assert_same_cells(name, inst)
+        rng = random.Random(seed)
+        i = rng.randint(1, n)
+        _assert_same_cells(name, inst, Interval(i, rng.randint(i, n)))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("instance", ["I9", "I15", "I31"])
+def test_named_instances(name, instance):
+    _assert_same_cells(name, build_instance(instance).instance)

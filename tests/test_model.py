@@ -250,6 +250,52 @@ class TestOrderProperty:
         assert check_order_property(None).ok
 
 
+DEEP = 1500  # deeper than Python's default recursion limit of 1000 frames
+
+
+class TestDeepTrees:
+    """Cost and order checks walk trees of any depth without recursion."""
+
+    INST = Instance(tuple(f"K{k:04d}" for k in range(1, DEEP + 1)),
+                    tuple(k % 7 for k in range(1, DEEP + 1)))
+
+    @staticmethod
+    def gbst_chain(swap_bottom=False):
+        # Node k tests key k and sends every larger key right, under split k+1.
+        node = GbstNode(DEEP)
+        if swap_bottom:
+            node = GbstNode(DEEP, split=DEEP, left=GbstNode(DEEP + 1), right=GbstNode(1))
+        for k in range(DEEP - 1, 0, -1):
+            node = GbstNode(k, split=k + 1, right=node)
+        return node
+
+    def test_gbst_chain_cost_is_closed_form(self):
+        tree = self.gbst_chain()
+        # Key k sits at depth k - 1.
+        expected = sum(self.INST.weight(k) * k for k in range(1, DEEP + 1))
+        assert gbst_cost(tree, self.INST) == expected
+        assert gbst_weight(tree, self.INST) == self.INST.total_weight()
+
+    def test_gbst_chain_verdicts(self):
+        assert check_order_property(self.gbst_chain()).ok
+        verdict = check_order_property(self.gbst_chain(swap_bottom=True))
+        assert verdict.violations == (
+            f"keys around node {DEEP}: left max {DEEP + 1} >= right min 1",
+        )
+
+    def test_equality_cascade_cost_is_closed_form(self):
+        # Cascade "= 1?", "= 2?", ...; the last leaf shares the deepest test.
+        node = Leaf(DEEP)
+        for k in range(DEEP - 1, 0, -1):
+            node = Cmp(EQ, k, yes=Leaf(k), no=node)
+        expected = sum(self.INST.weight(k) * k for k in range(1, DEEP)) + (
+            self.INST.weight(DEEP) * (DEEP - 1)
+        )
+        assert twcst_cost(node, self.INST) == expected
+        assert twcst_weight(node, self.INST) == self.INST.total_weight()
+        assert twcst_validate(node, self.INST.full_interval(), (), self.INST).ok
+
+
 class TestReplaceSubtree:
     def test_empty_path_returns_replacement(self):
         assert replace_subtree(t2a(), "", None) is None
