@@ -236,13 +236,17 @@ def _cmd_render(args) -> int:
     inst = _read_instance(args.instance)
     try:
         with open(args.tree, "r", encoding="utf-8") as fh:
-            _, tree = parse_tree_file(fh.read(), inst)
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.tree}: {exc}") from None
+    # The tree-file parser and the renderers recurse once per tree level.
     try:
+        _, tree = parse_tree_file(text, inst)
         sys.stdout.write(render_tree(tree, args.format, inst))
     except InvalidTreeError as exc:
         raise ParseError(f"invalid tree: {exc}") from None
+    except RecursionError:
+        raise ParseError("tree too deep to parse or render") from None
     return 0
 
 

@@ -27,14 +27,7 @@ from .model import (
     twcst_cost,
     twcst_validate,
 )
-from .oracle import (
-    DEFAULT_GBST_LIMIT,
-    DEFAULT_TWCST_LIMIT,
-    ExactOracle,
-    GbstOracle,
-    SizeLimitError,
-    TwcstOracle,
-)
+from .oracle import ExactOracle, GbstOracle, SizeLimitError, TwcstOracle
 from .spuler import SpulerTable
 
 __all__ = [
@@ -65,16 +58,13 @@ class Model:
     dp: str
     table: type[DpTable]
     oracle: type[ExactOracle]
-    limit: int
     validate: Callable
     cost: Callable
 
 
 MODELS = {
-    GBSPLIT: Model("hw", HwTable, GbstOracle, DEFAULT_GBST_LIMIT, gbst_validate, gbst_cost),
-    TWCST: Model(
-        "spuler", SpulerTable, TwcstOracle, DEFAULT_TWCST_LIMIT, twcst_validate, twcst_cost
-    ),
+    GBSPLIT: Model("hw", HwTable, GbstOracle, gbst_validate, gbst_cost),
+    TWCST: Model("spuler", SpulerTable, TwcstOracle, twcst_validate, twcst_cost),
 }
 
 
@@ -153,7 +143,7 @@ class CampaignConfig:
             raise ValueError("wmax must be >= 1")
         if self.holes_max is not None and self.holes_max < 0:
             raise ValueError("holes_max must be >= 0")
-        limit = MODELS[self.model].limit
+        limit = MODELS[self.model].oracle.limit
         if self.n_max > limit:
             raise ValueError(f"n_max {self.n_max} exceeds the oracle limit {limit}")
 
@@ -209,10 +199,10 @@ def _audit(
     Instances beyond the oracle limit are refused before the table fills.
     """
     spec = MODELS[model]
-    if inst.n > spec.limit:
-        raise SizeLimitError(inst.n, spec.limit)
+    if inst.n > spec.oracle.limit:
+        raise SizeLimitError(inst.n, spec.oracle.limit)
     table = spec.table(inst)
-    oracle = spec.oracle(inst, spec.limit)
+    oracle = spec.oracle(inst)
     found: list[Discrepancy] = []
     checked = 0
     n = inst.n
@@ -294,7 +284,7 @@ def campaign(
     checked = 0
     trial = 0
 
-    limit = MODELS[cfg.model].limit
+    limit = MODELS[cfg.model].oracle.limit
     for case in injected:
         if case.instance.n <= limit:
             found, inst_checked = _audit(cfg.model, case.instance, cfg.holes_max)

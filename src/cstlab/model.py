@@ -235,6 +235,7 @@ def parse_instance(text: str) -> Instance:
     """
     labels: list[str] = []
     weights: list[int] = []
+    seen: set[str] = set()
     prev_key = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -254,11 +255,12 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"negative weight {weight}", lineno)
         key = natural_key(label)
         if prev_key is not None:
-            if key == prev_key or label in labels:
+            if key == prev_key or label in seen:
                 raise ParseError(f"duplicate label {label!r}", lineno)
             if key < prev_key:
                 raise ParseError(f"label {label!r} out of order", lineno)
         prev_key = key
+        seen.add(label)
         labels.append(label)
         weights.append(weight)
     if not labels:

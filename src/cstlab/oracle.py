@@ -1,10 +1,14 @@
 """Correct-by-construction exact solvers for both tree families.
 
-These enumerate every admissible tree via memoized recursion over query
-sets: the keys of an (interval, explicit hole set) subproblem that are not
-holes.  They are exponential in the interval size and refuse intervals
-beyond a configured limit.  They serve as the ground truth the
-polynomial-time dynamic programs are audited against.
+The state of a subproblem is its query set Q: the keys of an (interval,
+explicit hole set) pair that are not holes, as a bit mask (bit k-1 =
+key k).  A hole is only a key missing from Q, so every pair with the same
+Q shares one memo entry, and a split matters only through the gap of Q it
+falls in: each state tries one split per gap between consecutive keys of
+Q.  Trees are rebuilt from the memoized costs by walking the same gaps.
+The solvers are exponential in the interval size and refuse intervals
+beyond a fixed limit.  They serve as the ground truth the polynomial-time
+dynamic programs are audited against.
 
 Also here: the key-placement lower bound for GBST costs, and the integer
 depth sequences d_m / e_m bounding the total leaf depth of separated and
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from ._kernel import BACKEND, GbstCostKernel, TwcstCostKernel
 from .model import (
     EQ,
     LT,
@@ -29,7 +32,6 @@ from .model import (
     check_hole_count,
     gbst_join,
     mask_of,
-    range_mask,
     twcst_leaf_depths,
     twcst_weight,
 )
@@ -48,6 +50,8 @@ __all__ = [
     "eq_root_weight_ok",
 ]
 
+BACKEND = "pure"
+
 DEFAULT_GBST_LIMIT = 16
 DEFAULT_TWCST_LIMIT = 18
 
@@ -63,151 +67,244 @@ class SizeLimitError(RuntimeError):
         )
 
 
-def _as_mask(holes: Iterable[int] | int) -> int:
-    if isinstance(holes, int):
-        return holes
-    return mask_of(holes)
-
-
 class ExactOracle:
     """Exact optima for (interval, hole set) subproblems of one instance.
 
     A subproblem must keep ``min_queries`` keys, so opt_star's h runs over
-    0..|I| - min_queries.  Subclasses supply the cost kernel and ``_build``,
-    which reconstructs an optimal tree from the kernel's memo.  The memo is
-    shared across all top-level queries on the oracle, so enumerating hole
-    sets at a fixed interval reuses subproblem work.
+    0..|I| - min_queries, and its interval may hold at most ``limit`` keys.
+    Subclasses supply the memoized recurrence ``_cost(q)`` and ``_tree(q, i)``,
+    which rebuilds an optimal tree for Q from the memo; i is the start of
+    the subproblem's interval.  The memo is shared across all top-level
+    queries on the oracle, so enumerating hole sets at a fixed interval
+    reuses subproblem work.
     """
 
     min_queries = 0
+    limit = 0
 
-    def __init__(self, inst: Instance, limit: int, kernel):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.limit = limit
-        self._kernel = kernel
+        self.w = (0,) + tuple(inst.weights)
 
-    def _mask(self, interval: Interval, holes: Iterable[int] | int) -> int:
-        """Hole mask of a subproblem the oracle accepts; raises otherwise."""
+    def _query_set(self, interval: Interval, holes: Iterable[int] | int) -> int:
+        """Query set of a subproblem the oracle accepts; raises otherwise."""
         interval.validate_for(self.inst.n)
         if interval.size > self.limit:
             raise SizeLimitError(interval.size, self.limit)
-        mask = _as_mask(holes) & interval.mask()
-        if (interval.mask() & ~mask).bit_count() < self.min_queries:
+        q = interval.mask() & ~(holes if isinstance(holes, int) else mask_of(holes))
+        if q.bit_count() < self.min_queries:
             raise ValueError("subproblem must keep at least one query")
-        return mask
+        return q
 
     def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, object]:
         """Exact optimum over all valid trees for (interval, holes)."""
-        mask = self._mask(interval, holes)
-        cost = self._kernel.cost(interval.i, interval.j, mask)
-        return cost, self._build(interval.i, interval.j, mask)
+        q = self._query_set(interval, holes)
+        return self._cost(q), self._tree(q, interval.i)
 
     def opt_cost(self, interval: Interval, holes: Iterable[int] | int = 0) -> int:
-        return self._kernel.cost(interval.i, interval.j, self._mask(interval, holes))
+        return self._cost(self._query_set(interval, holes))
 
     def opt_star(self, interval: Interval, h: int) -> tuple[int, object, tuple[int, ...]]:
         """Minimum over all hole sets of size h; returns the argmin set too."""
         cost, holes = self._star_argmin(interval, h)
-        return cost, self._build(interval.i, interval.j, mask_of(holes)), holes
+        return cost, self._tree(interval.mask() & ~mask_of(holes), interval.i), holes
 
     def opt_star_cost(self, interval: Interval, h: int) -> int:
         return self._star_argmin(interval, h)[0]
 
     def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...]]:
-        self._mask(interval, 0)
+        full = self._query_set(interval, 0)
         check_hole_count(h, interval, self.min_queries)
         best = None
         best_holes: tuple[int, ...] = ()
-        kernel_cost = self._kernel.cost
+        cost = self._cost
         for holes in combinations(interval.keys(), h):
-            c = kernel_cost(interval.i, interval.j, mask_of(holes))
+            c = cost(full & ~mask_of(holes))
             if best is None or c < best:
                 best, best_holes = c, holes
         return best, best_holes
 
 
 class GbstOracle(ExactOracle):
-    """Exact minimum-cost generalized binary split trees for one instance."""
+    """Exact minimum-cost generalized binary split trees for one instance.
 
-    def __init__(self, inst: Instance, limit: int = DEFAULT_GBST_LIMIT):
-        super().__init__(inst, limit, GbstCostKernel(inst.weights))
+    With g(Q) = min over e in Q of cost(Q - e), the best pair of subtrees
+    below an equality test on e,
 
-    def _build(self, i: int, j: int, mask: int) -> GbstTree:
-        full = range_mask(i, j)
-        mask &= full
-        if mask == full:
+        cost(Q) = W(Q) + min(g(Q), min over gaps (QL, QR) of Q of
+                             min(g(QL) + cost(QR), cost(QL) + g(QR)))
+
+    and cost(empty) = 0.  A node tests some e and splits Q - e into a prefix
+    and a suffix; cutting Q itself at one of its ends leaves one side empty
+    (the g(Q) term), and cutting at an inner gap puts e on one side of it.
+    """
+
+    limit = DEFAULT_GBST_LIMIT
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self._memo: dict[int, int] = {0: 0}
+        self._g_memo: dict[int, int] = {}
+
+    def _cost(self, q: int) -> int:
+        hit = self._memo.get(q)
+        if hit is not None:
+            return hit
+        cost = self._cost
+        g = self._g
+        w = self.w
+        best = g(q)
+        total = 0
+        left = 0
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left |= low
+            total += w[low.bit_length()]
+            if rest:
+                c = g(left) + cost(rest)
+                if c < best:
+                    best = c
+                c = cost(left) + g(rest)
+                if c < best:
+                    best = c
+        result = total + best
+        self._memo[q] = result
+        return result
+
+    def _g(self, q: int) -> int:
+        hit = self._g_memo.get(q)
+        if hit is not None:
+            return hit
+        cost = self._cost
+        best = None
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = cost(q ^ low)
+            if best is None or c < best:
+                best = c
+        self._g_memo[q] = best
+        return best
+
+    def _eq_key(self, q: int) -> int:
+        """Lowest bit of Q whose equality test attains g(Q)."""
+        target = self._g(q)
+        return next(low for low in _bits(q) if self._cost(q ^ low) == target)
+
+    def _tree(self, q: int, i: int) -> GbstTree:
+        """The first (split s, key e) attaining cost(Q), with s ascending
+        from i and e ascending over Q: s = i leaves the prefix empty, and
+        s = q_a + 1 cuts at the gap after the a-th key of Q.  A single
+        child hangs under split key i; the right child's interval starts
+        at s."""
+        if not q:
             return None
-        kernel_cost = self._kernel.cost
-        queries = full & ~mask
-        target = kernel_cost(i, j, mask) - self.inst.mask_weight(queries)
-        # First (s, e) in lexicographic order achieving the optimum.
-        for s in range(i, j + 2):
-            left_full = range_mask(i, s - 1)
-            right_full = range_mask(s, j)
-            q = queries
-            while q:
-                low = q & -q
-                q ^= low
-                me = mask | low
-                lm = me & left_full
-                rm = me & right_full
-                if kernel_cost(i, s - 1, lm) + kernel_cost(s, j, rm) == target:
-                    left = self._build(i, s - 1, lm)
-                    right = self._build(s, j, rm)
-                    return gbst_join(low.bit_length(), s, i, left, right)
-        raise AssertionError("memoized optimum not reproducible; kernel bug")
+        cost = self._cost
+        g = self._g
+        target = cost(q) - self.inst.mask_weight(q)
+        if g(q) == target:
+            e = self._eq_key(q)
+            return gbst_join(e.bit_length(), i, i, None, self._tree(q ^ e, i))
+        left = q & -q
+        rest = q ^ left
+        while rest:
+            s = left.bit_length() + 1
+            if g(left) + cost(rest) == target:
+                e = self._eq_key(left)
+                return gbst_join(e.bit_length(), s, i, self._tree(left ^ e, i), self._tree(rest, s))
+            if cost(left) + g(rest) == target:
+                e = self._eq_key(rest)
+                return gbst_join(e.bit_length(), s, i, self._tree(left, i), self._tree(rest ^ e, s))
+            low = rest & -rest
+            rest ^= low
+            left |= low
+        raise AssertionError("memoized optimum not reproducible")
 
 
 class TwcstOracle(ExactOracle):
     """Exact minimum-cost two-way comparison search trees for one instance.
 
-    ``prune_zero_eq`` skips equality tests on zero-weight keys whenever more
-    than one query remains; this never changes the optimum (such a node can
-    be spliced out and the key re-attached beside a neighboring query leaf
-    at no extra cost) and it shrinks the state space considerably on
+        cost(Q) = W(Q) + min(min over e in Q of cost(Q - e),
+                             min over gaps (QL, QR) of Q of cost(QL) + cost(QR))
+
+    and cost({e}) = 0; Q must not be empty.  The first term is an equality
+    test on e, the second a less-than test that separates QL from QR.
+    Equality tests on zero-weight keys are skipped whenever more than one
+    query remains: this never changes the optimum (such a node can be
+    spliced out and the key re-attached beside a neighboring query leaf at
+    no extra cost), and it shrinks the state space considerably on
     instances with many zero-weight keys.
     """
 
     min_queries = 1
+    limit = DEFAULT_TWCST_LIMIT
 
-    def __init__(
-        self,
-        inst: Instance,
-        limit: int = DEFAULT_TWCST_LIMIT,
-        prune_zero_eq: bool = True,
-    ):
-        super().__init__(inst, limit, TwcstCostKernel(inst.weights, prune_zero_eq))
-        self.prune_zero_eq = prune_zero_eq
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        self._memo: dict[int, int] = {1 << k: 0 for k in range(inst.n)}
 
-    def _build(self, i: int, j: int, mask: int) -> TwcstTree:
-        full = range_mask(i, j)
-        mask &= full
-        queries = full & ~mask
-        if queries & (queries - 1) == 0:
-            return Leaf(queries.bit_length())
-        kernel_cost = self._kernel.cost
-        target = kernel_cost(i, j, mask) - self.inst.mask_weight(queries)
-        weights = self.inst.weights
-        # Equality candidates first (ascending key), then splits.
-        q = queries
-        while q:
-            low = q & -q
-            q ^= low
+    def _cost(self, q: int) -> int:
+        hit = self._memo.get(q)
+        if hit is not None:
+            return hit
+        cost = self._cost
+        w = self.w
+        best = None
+        total = 0
+        left = 0
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left |= low
+            weight = w[low.bit_length()]
+            total += weight
+            if weight:
+                c = cost(q ^ low)
+                if best is None or c < best:
+                    best = c
+            if rest:
+                c = cost(left) + cost(rest)
+                if best is None or c < best:
+                    best = c
+        result = total + best
+        self._memo[q] = result
+        return result
+
+    def _tree(self, q: int, i: int = 0) -> TwcstTree:
+        """Equality tests first, in ascending key order, then less-than
+        tests at q_a + 1 for each gap after the a-th key of Q: the first
+        that attains cost(Q).  Split keys come from Q alone, so the
+        interval start i is not needed."""
+        if q & (q - 1) == 0:
+            return Leaf(q.bit_length())
+        cost = self._cost
+        w = self.w
+        target = cost(q) - self.inst.mask_weight(q)
+        for low in _bits(q):
             e = low.bit_length()
-            if self.prune_zero_eq and weights[e - 1] == 0:
-                continue
-            if kernel_cost(i, j, mask | low) == target:
-                return Cmp(EQ, e, yes=Leaf(e), no=self._build(i, j, mask | low))
-        for s in range(i + 1, j + 1):
-            split = range_mask(i, s - 1)
-            left_q = queries & split
-            if left_q == 0 or left_q == queries:
-                continue
-            lm = mask & split
-            rm = mask & ~split
-            if kernel_cost(i, s - 1, lm) + kernel_cost(s, j, rm) == target:
-                return Cmp(LT, s, yes=self._build(i, s - 1, lm), no=self._build(s, j, rm))
-        raise AssertionError("memoized optimum not reproducible; kernel bug")
+            if w[e] and cost(q ^ low) == target:
+                return Cmp(EQ, e, yes=Leaf(e), no=self._tree(q ^ low))
+        left = q & -q
+        rest = q ^ left
+        while rest:
+            if cost(left) + cost(rest) == target:
+                return Cmp(LT, left.bit_length() + 1, yes=self._tree(left), no=self._tree(rest))
+            low = rest & -rest
+            rest ^= low
+            left |= low
+        raise AssertionError("memoized optimum not reproducible")
+
+
+def _bits(q: int):
+    """The set bits of q, lowest first."""
+    while q:
+        low = q & -q
+        q ^= low
+        yield low
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,23 @@ class TestOtherCommands:
         )
         assert rc == 3
 
+    def test_render_tree_deeper_than_recursion_limit(self, tmp_path, capsys):
+        # Node k tests key k and sends every larger key right, under split k+1.
+        deep = 1500
+        labels = [f"K{k:04d}" for k in range(1, deep + 1)]
+        inst_file = tmp_path / "chain.txt"
+        inst_file.write_text("".join(f"{lab} {k % 7}\n" for k, lab in enumerate(labels)))
+        chain = "".join(f"({a}:{b} . " for a, b in zip(labels, labels[1:]))
+        tree_file = tmp_path / "chain.tree"
+        tree_file.write_text(f"gbsplit\n{chain}{labels[-1]}{')' * (deep - 1)}\n")
+        rc = main(
+            ["render", "--instance", str(inst_file), "--tree", str(tree_file),
+             "--format", "ifelse"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 # Instance file lines: well-formed key lines (labels K1.. in order) mixed
 # with comments, blanks and malformed lines.

@@ -1,13 +1,15 @@
-"""Differential tests: the query-set kernels must match the reference
-(interval, hole mask) recursions on every state of small instances, and the
-independent brute force on every query set."""
+"""Differential tests: the query-set oracles must match the reference
+(interval, hole mask) recursions on every state of small instances, in
+cost and in the tree they rebuild, and the independent brute force on
+every query set."""
 import pytest
 
 import reference_kernels as ref
 from brute import min_gbst_cost, min_twcst_cost
-from cstlab._kernel import GbstCostKernel, TwcstCostKernel
+from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
-from cstlab.model import Instance, keys_of, range_mask
+from cstlab.model import Instance, Interval, keys_of, range_mask
+from cstlab.oracle import GbstOracle, TwcstOracle
 
 SEEDS = range(64)
 
@@ -33,21 +35,60 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gbst_every_state(self, seed):
         inst = _instance(seed)
-        new = GbstCostKernel(inst.weights)
+        new = GbstOracle(inst)
         old = ref.GbstCostKernel(inst.weights)
         for i, j, mask in _all_states(inst.n):
-            assert new.cost(i, j, mask) == old.cost(i, j, mask), (i, j, mask)
+            assert new.opt_cost(Interval(i, j), mask) == old.cost(i, j, mask), (i, j, mask)
 
+    # The oracle always skips equality tests on zero-weight keys; the
+    # reference without that skip checks that it keeps the optimum.
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_twcst_every_state(self, seed, prune):
         inst = _instance(seed)
-        new = TwcstCostKernel(inst.weights, prune)
+        new = TwcstOracle(inst)
         old = ref.TwcstCostKernel(inst.weights, prune)
         for i, j, mask in _all_states(inst.n):
             if mask == range_mask(i, j):
                 continue  # no queries left
-            assert new.cost(i, j, mask) == old.cost(i, j, mask), (i, j, mask)
+            assert new.opt_cost(Interval(i, j), mask) == old.cost(i, j, mask), (i, j, mask)
+
+
+class TestTreesAgainstReference:
+    """The trees rebuilt on the query set's gaps are the ones the reference
+    finds first in its lexicographic (split, key) order over the interval."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gbst_every_state(self, seed):
+        inst = _instance(seed)
+        new = GbstOracle(inst)
+        old = ref.GbstCostKernel(inst.weights)
+        for i, j, mask in _all_states(inst.n):
+            expected = (old.cost(i, j, mask), old.tree(i, j, mask))
+            assert new.opt(Interval(i, j), mask) == expected, (i, j, mask)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_twcst_every_state(self, seed):
+        inst = _instance(seed)
+        new = TwcstOracle(inst)
+        old = ref.TwcstCostKernel(inst.weights)
+        for i, j, mask in _all_states(inst.n):
+            if mask == range_mask(i, j):
+                continue  # no queries left
+            expected = (old.cost(i, j, mask), old.tree(i, j, mask))
+            assert new.opt(Interval(i, j), mask) == expected, (i, j, mask)
+
+    @pytest.mark.parametrize("name", ["I8", "I9", "I15"])
+    @pytest.mark.parametrize(
+        "oracle, reference", [(GbstOracle, ref.GbstCostKernel), (TwcstOracle, ref.TwcstCostKernel)]
+    )
+    def test_opt_star_named_instances(self, name, oracle, reference):
+        inst = build_instance(name).instance
+        new = oracle(inst)
+        old = reference(inst.weights)
+        full = inst.full_interval()
+        for h in range(inst.n - new.min_queries + 1):
+            assert new.opt_star(full, h) == old.opt_star(1, inst.n, h), h
 
 
 class TestAgainstBruteForce:
@@ -55,13 +96,19 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("seed", [s for s in range(24) if s % 8 < 6])
     def test_every_query_set(self, seed):
         inst = _instance(seed)
-        gbst = GbstCostKernel(inst.weights)
-        twcst = TwcstCostKernel(inst.weights)
+        full = inst.full_interval()
+        gbst = GbstOracle(inst)
+        twcst = TwcstOracle(inst)
         for q in range(1 << inst.n):
             keys = keys_of(q)
-            assert gbst.cost(1, inst.n, ~q) == min_gbst_cost(inst, keys)
+            assert gbst.opt_cost(full, ~q) == min_gbst_cost(inst, keys)
             if keys:
-                assert twcst.cost(1, inst.n, ~q) == min_twcst_cost(inst, keys)
+                assert twcst.opt_cost(full, ~q) == min_twcst_cost(inst, keys)
+
+
+def _oracles(weights):
+    inst = Instance(tuple(f"K{k:03d}" for k in range(1, len(weights) + 1)), tuple(weights))
+    return GbstOracle(inst), TwcstOracle(inst)
 
 
 class TestEntryPoint:
@@ -69,39 +116,41 @@ class TestEntryPoint:
         # The same keys left to query cost the same, whatever the interval
         # and the hole set that leave them.
         inst = random_instance(8, 9, 77)
-        for kernel in (GbstCostKernel(inst.weights), TwcstCostKernel(inst.weights)):
-            a = kernel.cost(3, 6, range_mask(5, 5))
-            assert kernel.cost(2, 8, range_mask(2, 2) | range_mask(5, 5) | range_mask(7, 8)) == a
-            assert kernel.cost(1, 8, ~(range_mask(3, 4) | range_mask(6, 6))) == a
+        for oracle in (GbstOracle(inst), TwcstOracle(inst)):
+            a = oracle.opt_cost(Interval(3, 6), range_mask(5, 5))
+            holes = range_mask(2, 2) | range_mask(5, 5) | range_mask(7, 8)
+            assert oracle.opt_cost(Interval(2, 8), holes) == a
+            assert oracle.opt_cost(Interval(1, 8), ~(range_mask(3, 4) | range_mask(6, 6))) == a
 
     def test_gbst_empty(self):
-        kernel = GbstCostKernel((3, 1, 4))
-        assert kernel.cost(2, 1, 0) == 0
-        assert kernel.cost(1, 3, range_mask(1, 3)) == 0
+        gbst, _ = _oracles((3, 1, 4))
+        assert gbst.opt_cost(Interval(2, 1), 0) == 0
+        assert gbst.opt_cost(Interval(1, 3), range_mask(1, 3)) == 0
 
     def test_twcst_needs_a_query(self):
-        kernel = TwcstCostKernel((3, 1, 4))
+        _, twcst = _oracles((3, 1, 4))
         with pytest.raises(ValueError, match="at least one query"):
-            kernel.cost(1, 3, range_mask(1, 3))
-        assert kernel.cost(2, 2, 0) == 0
+            twcst.opt_cost(Interval(1, 3), range_mask(1, 3))
+        assert twcst.opt_cost(Interval(2, 2), 0) == 0
 
     def test_all_zero_weights(self):
         weights = (0,) * 6
-        assert GbstCostKernel(weights).cost(1, 6, 0) == 0
-        for prune in (True, False):
-            assert TwcstCostKernel(weights, prune).cost(1, 6, 0) == 0
+        gbst, twcst = _oracles(weights)
+        assert gbst.opt_cost(Interval(1, 6)) == 0
+        assert twcst.opt_cost(Interval(1, 6)) == 0
+        assert ref.TwcstCostKernel(weights, prune_zero_eq=False).cost(1, 6, 0) == 0
 
     def test_twcst_cost_beyond_int64_is_exact(self):
         # Scaling every weight by 2^58 scales the optimum, past int64 here.
-        scaled = TwcstCostKernel((1 << 58,) * 12).cost(1, 12, 0)
-        assert scaled == TwcstCostKernel((1,) * 12).cost(1, 12, 0) << 58
+        scaled = _oracles((1 << 58,) * 12)[1].opt_cost(Interval(1, 12))
+        assert scaled == _oracles((1,) * 12)[1].opt_cost(Interval(1, 12)) << 58
         assert scaled > 2**63
 
     def test_keys_beyond_bit_64(self):
         inst = Instance(
             tuple(f"K{k:03d}" for k in range(1, 81)), tuple(1 + k % 7 for k in range(80))
         )
-        gbst = GbstCostKernel(inst.weights)
-        twcst = TwcstCostKernel(inst.weights)
-        assert gbst.cost(70, 74, 0) == min_gbst_cost(inst, tuple(range(70, 75)))
-        assert twcst.cost(70, 74, 0) == min_twcst_cost(inst, tuple(range(70, 75)))
+        gbst = GbstOracle(inst)
+        twcst = TwcstOracle(inst)
+        assert gbst.opt_cost(Interval(70, 74)) == min_gbst_cost(inst, tuple(range(70, 75)))
+        assert twcst.opt_cost(Interval(70, 74)) == min_twcst_cost(inst, tuple(range(70, 75)))

@@ -68,6 +68,11 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="line 2.*duplicate"):
             parse_instance("A 3\nA 2")
 
+    def test_duplicate_label_not_adjacent(self):
+        with pytest.raises(ParseError) as err:
+            parse_instance("A 1\nB 2\nA 3")
+        assert str(err.value) == "line 3: duplicate label 'A'"
+
     def test_out_of_order(self):
         with pytest.raises(ParseError, match="out of order"):
             parse_instance("B 1\nA 2")

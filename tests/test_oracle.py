@@ -2,6 +2,7 @@
 placement bound and the d/e depth sequences."""
 import pytest
 
+import reference_kernels as ref
 from brute import min_gbst_cost, min_twcst_cost
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
@@ -28,6 +29,13 @@ I9 = build_instance("I9").instance
 I15 = build_instance("I15").instance
 I8 = build_instance("I8").instance
 I31 = build_instance("I31").instance
+
+
+def test_backend_name():
+    # The benchmark's environment line reads cstlab.BACKEND.
+    import cstlab
+
+    assert cstlab.BACKEND == "pure"
 
 
 class TestGbstOpt:
@@ -152,9 +160,10 @@ class TestTwcstOpt:
             oracle.opt(Interval(1, 2), (1, 2))
 
     def test_size_limit(self):
-        oracle = TwcstOracle(I15, limit=10)
-        with pytest.raises(SizeLimitError, match="limit 10"):
-            oracle.opt(I15.full_interval(), ())
+        inst = random_instance(19, 9, 0)
+        oracle = TwcstOracle(inst)
+        with pytest.raises(SizeLimitError, match="limit 18"):
+            oracle.opt(inst.full_interval(), ())
 
     def test_matches_bruteforce_enumeration(self):
         import itertools
@@ -195,11 +204,11 @@ class TestTwcstOptStar:
     def test_pruning_equivalence(self):
         for seed in range(10):
             inst = random_instance(2 + seed % 7, 10, 200 + seed)
-            with_prune = TwcstOracle(inst, prune_zero_eq=True)
-            without = TwcstOracle(inst, prune_zero_eq=False)
+            with_prune = TwcstOracle(inst)
+            without = ref.TwcstCostKernel(inst.weights, prune_zero_eq=False)
             full = inst.full_interval()
             for h in range(inst.n):
-                assert with_prune.opt_star_cost(full, h) == without.opt_star_cost(full, h)
+                assert with_prune.opt_star_cost(full, h) == without.star(1, inst.n, h)[0]
 
     def test_eq_nodes_have_matching_leaf_yes_branch(self):
         from cstlab.model import EQ, Cmp, Leaf
