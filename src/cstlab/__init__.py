@@ -39,7 +39,7 @@ from .oracle import (
     depth_seq,
     placement_lower_bound,
 )
-from .hw import HwTable, hw_solve, hw_table
-from .spuler import SpulerTable, spuler_solve, spuler_table
+from .hw import HwTable, hw_solve
+from .spuler import SpulerTable, spuler_solve
 
 __version__ = "0.1.0"

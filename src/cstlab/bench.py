@@ -14,10 +14,10 @@ The instances:
 * ``I8`` / ``I15`` — the symmetric 7-5-0 weight patterns on which the
   2WCST DP solves the (I15, 2) subproblem at 116 while the optimum is 115.
 
-Exhibit trees are frozen reconstructions: any valid tree achieving the
-published cost and weight serves, and every construction below is
-validated and cost-checked by the verify procedures.  All checks are exact
-integer comparisons.
+Exhibit trees are frozen reconstructions, kept in ``EXHIBITS`` as tree files
+that ``cstlab render --tree`` reads: any valid tree achieving the published
+cost and weight serves, and the verify procedures parse, validate and
+cost-check every one.  All checks are exact integer comparisons.
 """
 from __future__ import annotations
 
@@ -28,14 +28,9 @@ from dataclasses import dataclass
 from .falsify import TWCST, audit_subproblems, random_instance
 from .hw import hw_solve
 from .model import (
-    EQ,
-    LT,
-    Cmp,
     GbstNode,
     Instance,
     Interval,
-    Leaf,
-    TwcstTree,
     gbst_cost,
     gbst_validate,
     gbst_weight,
@@ -51,6 +46,7 @@ from .oracle import (
     depth_seq,
     placement_lower_bound,
 )
+from .render import parse_tree_file
 from .spuler import spuler_solve
 
 __all__ = [
@@ -60,17 +56,9 @@ __all__ = [
     "INSTANCE_NAMES",
     "build_instance",
     "positive_key_count",
-    "fig1_tree",
-    "fig2_tree_a",
-    "fig2_tree_b",
+    "EXHIBITS",
+    "exhibit",
     "fig2_context",
-    "fig3_witness_tree",
-    "fig4_tree_a",
-    "fig4_tree_b",
-    "fig4_tree_c",
-    "fig5_tree_a",
-    "fig5_tree_b",
-    "fig6_witness_tree",
     "verify_figures",
     "verify_theorem1",
     "verify_theorem2",
@@ -208,234 +196,65 @@ def positive_key_count(length: int) -> int:
 # Exhibit trees
 # ---------------------------------------------------------------------------
 
-def fig1_tree() -> GbstNode:
-    """Six keys, balanced; cost 2.0 in probabilities, 20 with weights x10."""
-    N = GbstNode
-    return N(
-        3,
-        split=4,
-        left=N(2, split=2, left=N(1)),
-        right=N(5, split=6, left=N(4), right=N(6)),
-    )
+# Each exhibit is a complete tree file in the grammar ``cstlab render --tree``
+# reads: the model tag line, then the preorder expression, with the labels of
+# the instance the exhibit is checked against.  fig3 contains fig2_b, and fig6
+# contains fig4_c.
+_FIG2_B = "(A2:B4 (A1:B0 . B0) (B4:E0 (D0:D0 C0 .) E0))"
+_FIG4_C = "(<K05 (=K02 K02 (=K04 K04 K03)) (=K06 K06 (=K08 K08 (<K06 K05 K07))))"
+
+EXHIBITS: dict[str, str] = {
+    # fig1: six keys, balanced; cost 2.0 in probabilities, 20 with weights x10.
+    "fig1": "gbsplit\n(C:D (B:B A .) (E:F D F))\n",
+    # I9: seven nodes for holes {A3, B4}; cost 209, weight 97.
+    "fig2_a": "gbsplit\n(A2:D0 (A1:C0 B0 C0) (D1:E0 D0 E0))\n",
+    # I9: seven nodes for holes {A3, D1}; cost 210, weight 95.
+    "fig2_b": f"gbsplit\n{_FIG2_B}\n",
+    # I31: 31 nodes at cost 1762, one below what the GBST DP returns.  The
+    # weight-22 key is at the root, the fourteen weight-20 keys at depths
+    # 1-3, the fifteen weight-10 keys at depth 4 and the weight-5 key at
+    # depth 5.  The subtree over the leftover I9 keys is fig2_b two levels
+    # down; the padding blocks sit as balanced subtrees.
+    "fig3": (
+        "gbsplit\n"
+        "(D1:G0\n"
+        f"  (A3:F0 {_FIG2_B} (F0:F4 (F1:F3 F2 F3) (F4:F6 F5 F6)))\n"
+        "  (G0:G8 (G1:G5 (G2:G4 G3 G4) (G5:G7 G6 G7)) (G8:H3 (H0:H2 H1 H2) (H3:H5 H4 H5))))\n"
+    ),
+    # I8: optimal for (I8, 1) with holes {K08}; cost 49, weight 22.
+    "fig4_a": "twcst\n(<K03 (=K01 K01 K02) (=K04 K04 (=K06 K06 (<K04 K03 (<K06 K05 K07)))))\n",
+    # I8: cheapest without the weight-7 key, holes {K01}; cost 50, weight 20.
+    "fig4_b": "twcst\n(=K02 K02 (=K04 K04 (=K06 K06 (=K08 K08 (<K04 K03 (<K06 K05 K07))))))\n",
+    # I8: a second, structurally different tree at cost 50, weight 20.
+    "fig4_c": f"twcst\n{_FIG4_C}\n",
+    # I10 (the first ten I15 keys): optimal with five positive queries,
+    # holes {K10}; cost 69, weight 27.
+    "fig5_a": (
+        "twcst\n"
+        "(<K03 (=K01 K01 K02) (=K04 K04 (=K06 K06 (=K08 K08 (<K04 K03 (<K06 K05 (<K08 K07 K09)))))))\n"
+    ),
+    # I10: five weight-5 queries and no weight-7, holes {K01}; cost 70,
+    # weight 25.
+    "fig5_b": (
+        "twcst\n"
+        "(<K05 (=K02 K02 (=K04 K04 K03)) (=K06 K06 (=K08 K08 (=K10 K10 (<K06 K05 (<K08 K07 K09))))))\n"
+    ),
+    # I15: holes {K01, K15} at cost 115; the left subtree is fig4_c.
+    "fig6": (
+        "twcst\n"
+        f"(<K09 {_FIG4_C} (=K10 K10 (=K12 K12 (=K14 K14 (<K11 K09 (<K13 K11 K13))))))\n"
+    ),
+}
 
 
-def fig2_tree_a() -> GbstNode:
-    """Seven nodes for (I9, holes {A3, B4}); cost 209, weight 97."""
-    N = GbstNode
-    return N(
-        2,
-        split=7,
-        left=N(1, split=6, left=N(4), right=N(6)),
-        right=N(8, split=9, left=N(7), right=N(9)),
-    )
-
-
-def fig2_tree_b() -> GbstNode:
-    """Seven nodes for (I9, holes {A3, D1}); cost 210, weight 95."""
-    N = GbstNode
-    return N(
-        2,
-        split=5,
-        left=N(1, split=4, right=N(4)),
-        right=N(5, split=9, left=N(7, split=7, left=N(6)), right=N(9)),
-    )
+def exhibit(name: str, inst: Instance):
+    """Parse exhibit *name* against *inst*, the instance its labels name."""
+    return parse_tree_file(EXHIBITS[name], inst)[1]
 
 
 def fig2_context(top: int, mid: int, subtree: GbstNode) -> GbstNode:
     """Chain top -> mid -> subtree; a full 9-node tree for I9."""
     return GbstNode(top, split=1, right=GbstNode(mid, split=1, right=subtree))
-
-
-def fig3_witness_tree() -> GbstNode:
-    """31 nodes at cost 1762, one below what the GBST DP returns.
-
-    Depth profile: the weight-22 key at the root, the fourteen weight-20
-    keys at depths 1-3, the fifteen weight-10 keys at depth 4, and the
-    weight-5 key at depth 5.  The subtree over the leftover I9 keys is
-    fig2_tree_b shifted two levels down; the padding blocks sit as balanced
-    subtrees.
-    """
-    N = GbstNode
-    block1 = N(
-        10,
-        split=14,
-        left=N(11, split=13, left=N(12), right=N(13)),
-        right=N(14, split=16, left=N(15), right=N(16)),
-    )
-    block2 = N(
-        17,
-        split=25,
-        left=N(
-            18,
-            split=22,
-            left=N(19, split=21, left=N(20), right=N(21)),
-            right=N(22, split=24, left=N(23), right=N(24)),
-        ),
-        right=N(
-            25,
-            split=29,
-            left=N(26, split=28, left=N(27), right=N(28)),
-            right=N(29, split=31, left=N(30), right=N(31)),
-        ),
-    )
-    left = N(3, split=10, left=fig2_tree_b(), right=block1)
-    return N(8, split=17, left=left, right=block2)
-
-
-def fig4_tree_a() -> TwcstTree:
-    """Optimal for (I8, 1): holes {8}, cost 49, weight 22."""
-    return Cmp(
-        LT,
-        3,
-        yes=Cmp(EQ, 1, yes=Leaf(1), no=Leaf(2)),
-        no=Cmp(
-            EQ,
-            4,
-            yes=Leaf(4),
-            no=Cmp(
-                EQ,
-                6,
-                yes=Leaf(6),
-                no=Cmp(
-                    LT,
-                    4,
-                    yes=Leaf(3),
-                    no=Cmp(LT, 6, yes=Leaf(5), no=Leaf(7)),
-                ),
-            ),
-        ),
-    )
-
-
-def fig4_tree_b() -> TwcstTree:
-    """Cheapest without the weight-7 key: holes {1}, cost 50, weight 20."""
-    return Cmp(
-        EQ,
-        2,
-        yes=Leaf(2),
-        no=Cmp(
-            EQ,
-            4,
-            yes=Leaf(4),
-            no=Cmp(
-                EQ,
-                6,
-                yes=Leaf(6),
-                no=Cmp(
-                    EQ,
-                    8,
-                    yes=Leaf(8),
-                    no=Cmp(
-                        LT,
-                        4,
-                        yes=Leaf(3),
-                        no=Cmp(LT, 6, yes=Leaf(5), no=Leaf(7)),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def fig4_tree_c() -> TwcstTree:
-    """A second, structurally different tree at cost 50, weight 20."""
-    return Cmp(
-        LT,
-        5,
-        yes=Cmp(EQ, 2, yes=Leaf(2), no=Cmp(EQ, 4, yes=Leaf(4), no=Leaf(3))),
-        no=Cmp(
-            EQ,
-            6,
-            yes=Leaf(6),
-            no=Cmp(EQ, 8, yes=Leaf(8), no=Cmp(LT, 6, yes=Leaf(5), no=Leaf(7))),
-        ),
-    )
-
-
-def fig5_tree_a() -> TwcstTree:
-    """Optimal with five positive queries: (I10, holes {10}), cost 69, weight 27."""
-    return Cmp(
-        LT,
-        3,
-        yes=Cmp(EQ, 1, yes=Leaf(1), no=Leaf(2)),
-        no=Cmp(
-            EQ,
-            4,
-            yes=Leaf(4),
-            no=Cmp(
-                EQ,
-                6,
-                yes=Leaf(6),
-                no=Cmp(
-                    EQ,
-                    8,
-                    yes=Leaf(8),
-                    no=Cmp(
-                        LT,
-                        4,
-                        yes=Leaf(3),
-                        no=Cmp(
-                            LT,
-                            6,
-                            yes=Leaf(5),
-                            no=Cmp(LT, 8, yes=Leaf(7), no=Leaf(9)),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def fig5_tree_b() -> TwcstTree:
-    """Five weight-5 queries, no weight-7: (I10, holes {1}), cost 70, weight 25."""
-    return Cmp(
-        LT,
-        5,
-        yes=Cmp(EQ, 2, yes=Leaf(2), no=Cmp(EQ, 4, yes=Leaf(4), no=Leaf(3))),
-        no=Cmp(
-            EQ,
-            6,
-            yes=Leaf(6),
-            no=Cmp(
-                EQ,
-                8,
-                yes=Leaf(8),
-                no=Cmp(
-                    EQ,
-                    10,
-                    yes=Leaf(10),
-                    no=Cmp(
-                        LT,
-                        6,
-                        yes=Leaf(5),
-                        no=Cmp(LT, 8, yes=Leaf(7), no=Leaf(9)),
-                    ),
-                ),
-            ),
-        ),
-    )
-
-
-def fig6_witness_tree() -> TwcstTree:
-    """(I15, holes {1, 15}) at cost 115; left subtree is fig4_tree_c."""
-    right = Cmp(
-        EQ,
-        10,
-        yes=Leaf(10),
-        no=Cmp(
-            EQ,
-            12,
-            yes=Leaf(12),
-            no=Cmp(
-                EQ,
-                14,
-                yes=Leaf(14),
-                no=Cmp(LT, 11, yes=Leaf(9), no=Cmp(LT, 13, yes=Leaf(11), no=Leaf(13))),
-            ),
-        ),
-    )
-    return Cmp(LT, 9, yes=fig4_tree_c(), no=right)
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +267,13 @@ def verify_figures() -> Report:
     add = checks.append
 
     fig1 = build_instance("fig1").instance
-    t1 = fig1_tree()
+    t1 = exhibit("fig1", fig1)
     add(Check("fig1.tree.cost", 20, gbst_cost(t1, fig1)))
     add(Check("fig1.tree.valid", 1, int(bool(gbst_validate(t1, fig1.full_interval(), (), fig1)))))
 
     i9 = build_instance("I9").instance
     iv9 = i9.full_interval()
-    t2a, t2b = fig2_tree_a(), fig2_tree_b()
+    t2a, t2b = exhibit("fig2_a", i9), exhibit("fig2_b", i9)
     add(Check("fig2.T_a.cost", 209, gbst_cost(t2a, i9)))
     add(Check("fig2.T_a.weight", 97, gbst_weight(t2a, i9)))
     add(Check("fig2.T_a.valid", 1, int(bool(gbst_validate(t2a, iv9, (3, 5), i9)))))
@@ -477,7 +296,7 @@ def verify_figures() -> Report:
 
     i8 = build_instance("I8").instance
     iv8 = i8.full_interval()
-    t4a, t4b, t4c = fig4_tree_a(), fig4_tree_b(), fig4_tree_c()
+    t4a, t4b, t4c = exhibit("fig4_a", i8), exhibit("fig4_b", i8), exhibit("fig4_c", i8)
     add(Check("fig4.T_a.cost", 49, twcst_cost(t4a, i8)))
     add(Check("fig4.T_a.weight", 22, twcst_weight(t4a, i8)))
     add(Check("fig4.T_a.valid", 1, int(bool(twcst_validate(t4a, iv8, (8,), i8)))))
@@ -491,7 +310,7 @@ def verify_figures() -> Report:
 
     i10 = _prefix_instance(10)
     iv10 = i10.full_interval()
-    t5a, t5b = fig5_tree_a(), fig5_tree_b()
+    t5a, t5b = exhibit("fig5_a", i10), exhibit("fig5_b", i10)
     add(Check("fig5.T_a.cost", 69, twcst_cost(t5a, i10)))
     add(Check("fig5.T_a.weight", 27, twcst_weight(t5a, i10)))
     add(Check("fig5.T_a.valid", 1, int(bool(twcst_validate(t5a, iv10, (10,), i10)))))
@@ -512,7 +331,7 @@ def verify_theorem1() -> Report:
     hw_cost = hw_solve(i31, full, 0).cost
     add(Check("thm1.hw.cost", 1763, hw_cost))
 
-    witness = fig3_witness_tree()
+    witness = exhibit("fig3", i31)
     add(Check("thm1.witness.cost", 1762, gbst_cost(witness, i31)))
     add(Check("thm1.witness.valid", 1, int(bool(gbst_validate(witness, full, (), i31)))))
     add(Check("thm1.placement", 1757, placement_lower_bound(i31)))
@@ -544,7 +363,7 @@ def verify_theorem2() -> Report:
     add(Check("thm2.oracle.cost", 115, cost))
     add(Check("thm2.oracle.valid", 1, int(bool(twcst_validate(tree, full, holes, i15)))))
 
-    witness = fig6_witness_tree()
+    witness = exhibit("fig6", i15)
     add(Check("thm2.witness.cost", 115, twcst_cost(witness, i15)))
     add(Check("thm2.witness.valid", 1, int(bool(twcst_validate(witness, full, (1, 15), i15)))))
 

@@ -77,12 +77,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _read_instance(path: str) -> Instance:
+    return parse_instance(_read_text(path))
 
 
 def _parse_holeset(text: str, inst: Instance) -> tuple[int, ...]:
@@ -234,11 +238,7 @@ def _cmd_depth_seq(args) -> int:
 
 def _cmd_render(args) -> int:
     inst = _read_instance(args.instance)
-    try:
-        with open(args.tree, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.tree}: {exc}") from None
+    text = _read_text(args.tree)
     # The tree-file parser and the renderers recurse once per tree level.
     try:
         _, tree = parse_tree_file(text, inst)

@@ -47,7 +47,7 @@ from .model import (
     gbst_join,
 )
 
-__all__ = ["HwTable", "hw_solve", "hw_table"]
+__all__ = ["HwTable", "hw_solve"]
 
 # Cell layout: (cost, weight, used_mask, used_perm, tree, choice)
 _EMPTY_CELL = (0, 0, 0, 0, None, None)
@@ -143,11 +143,6 @@ class HwTable(DpTable):
                     )
                     cw_row[h] = best_cost + weight
                     perm_row[h] = used_perm
-
-
-def hw_table(inst: Instance) -> HwTable:
-    """Full table over every subinterval of the instance."""
-    return HwTable(inst)
 
 
 def hw_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:

@@ -46,7 +46,7 @@ from .model import (
     SolveResult,
 )
 
-__all__ = ["SpulerTable", "spuler_solve", "spuler_table"]
+__all__ = ["SpulerTable", "spuler_solve"]
 
 
 def _lt_gathers(length: int) -> tuple[list, list]:
@@ -156,11 +156,6 @@ class SpulerTable(DpTable):
                             ("lt", s, h1, h - h1),
                         )
                         cw_row[h] = lt_cost + weight
-
-
-def spuler_table(inst: Instance) -> SpulerTable:
-    """Full table over every subinterval of the instance."""
-    return SpulerTable(inst)
 
 
 def spuler_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:

@@ -41,20 +41,20 @@ def test_criterion_1_figure_reproduction():
     t0 = time.perf_counter()
     i10 = bench._prefix_instance(10)
 
-    t2a, t2b = bench.fig2_tree_a(), bench.fig2_tree_b()
+    t2a, t2b = bench.exhibit("fig2_a", I9), bench.exhibit("fig2_b", I9)
     assert gbst_cost(t2a, I9) == 209
     assert gbst_cost(t2b, I9) == 210
     assert gbst_weight(t2a, I9) == 97
     assert gbst_weight(t2b, I9) == 95
     assert gbst_weight(t2a, I9) - gbst_weight(t2b, I9) == 2
 
-    t4a, t4b, t4c = bench.fig4_tree_a(), bench.fig4_tree_b(), bench.fig4_tree_c()
+    t4a, t4b, t4c = (bench.exhibit(name, I8) for name in ("fig4_a", "fig4_b", "fig4_c"))
     assert (twcst_cost(t4a, I8), twcst_weight(t4a, I8)) == (49, 22)
     assert (twcst_cost(t4b, I8), twcst_weight(t4b, I8)) == (50, 20)
     assert (twcst_cost(t4c, I8), twcst_weight(t4c, I8)) == (50, 20)
     assert t4b != t4c
 
-    t5a, t5b = bench.fig5_tree_a(), bench.fig5_tree_b()
+    t5a, t5b = bench.exhibit("fig5_a", i10), bench.exhibit("fig5_b", i10)
     assert (twcst_cost(t5a, i10), twcst_weight(t5a, i10)) == (69, 27)
     assert (twcst_cost(t5b, i10), twcst_weight(t5b, i10)) == (70, 25)
 
@@ -76,7 +76,7 @@ def test_criterion_2_theorem1():
     hw_time = time.perf_counter() - t0
     assert hw_time < 5.0, f"hw on n=31 took {hw_time:.2f}s"
 
-    witness = bench.fig3_witness_tree()
+    witness = bench.exhibit("fig3", I31)
     assert gbst_cost(witness, I31) == 1762
     assert gbst_validate(witness, full, (), I31).ok
     assert placement_lower_bound(I31) == 1757
@@ -196,7 +196,7 @@ def test_criterion_7_determinism(capsys):
     cfg = falsify.CampaignConfig(
         model=falsify.TWCST, n_min=4, n_max=8, trials=30, base_seed=77
     )
-    case = falsify.InjectedCase("I31", I31, bench.fig3_witness_tree())
+    case = falsify.InjectedCase("I31", I31, bench.exhibit("fig3", I31))
     gb_cfg = falsify.CampaignConfig(
         model=falsify.GBSPLIT, n_min=2, n_max=6, trials=10, base_seed=5
     )

@@ -117,6 +117,13 @@ class TestSolve:
         )
         assert rc == 3
 
+    def test_non_utf8_instance_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"A 1\nB \xff2\n")
+        rc = main(["solve", "--model", "gbsplit", "--alg", "hw", "--instance", str(bad)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--model", "bogus", "--alg", "hw", "--instance", "x"])
@@ -247,6 +254,13 @@ class TestOtherCommands:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "placement_bound=1757"
 
+    def test_bound_non_utf8_instance_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"A 1\nB \xff2\n")
+        rc = main(["bound", "--placement", "--instance", str(bad)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
     def test_bound_requires_flag(self, i9_file):
         assert main(["bound", "--instance", i9_file]) == 2
 
@@ -279,6 +293,16 @@ class TestOtherCommands:
              "--format", "ascii"]
         )
         assert rc == 3
+
+    def test_render_non_utf8_tree_exit_3(self, i9_file, tmp_path, capsys):
+        tree_file = tmp_path / "tree.txt"
+        tree_file.write_bytes(b"gbsplit\n(A:\xffB . B)\n")
+        rc = main(
+            ["render", "--instance", i9_file, "--tree", str(tree_file),
+             "--format", "ascii"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tree_file}: ")
 
     def test_render_tree_deeper_than_recursion_limit(self, tmp_path, capsys):
         # Node k tests key k and sends every larger key right, under split k+1.
@@ -351,3 +375,51 @@ class TestSolveExitCodes:
                     rc = exc.code
         assert rc in (0, 1, 2, 3), (text, flags, rc)
         assert "Traceback" not in err.getvalue()
+
+
+# Tree files: a model tag (good or bad), comment lines, and expressions
+# built from the grammar's tokens with labels inside and outside I9.
+_TREE_TOKENS = st.sampled_from(
+    ["(", ")", ".", "=", "<", ":", "A1", "A2", "B4", "E0", "K1", "A1:B0", "D1:E0"]
+)
+
+
+@st.composite
+def _tree_file(draw):
+    lines = [draw(st.sampled_from(["gbsplit", "twcst", "GBSPLIT", "tree", ""]))]
+    body = draw(st.lists(_TREE_TOKENS, max_size=24))
+    lines.append(" ".join(body) if draw(st.booleans()) else "".join(body))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "# note")
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        cut = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestRenderExitCodes:
+    @settings(max_examples=300, deadline=None)
+    @given(_tree_file())
+    def test_exit_code_is_always_in_the_contract(self, data):
+        """Every render call, in every format, ends with 0-3 and never a
+        traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            inst_path = os.path.join(tmp, "i9.txt")
+            with open(inst_path, "w", encoding="utf-8") as fh:
+                fh.write(format_instance(build_instance("I9").instance))
+            tree_path = os.path.join(tmp, "tree.txt")
+            with open(tree_path, "wb") as fh:
+                fh.write(data)
+            for fmt in FORMATS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        rc = main(
+                            ["render", "--instance", inst_path, "--tree", tree_path,
+                             "--format", fmt]
+                        )
+                    except SystemExit as exc:
+                        rc = exc.code
+                assert rc in (0, 1, 2, 3), (data, fmt, rc)
+                assert "Traceback" not in err.getvalue()

@@ -1,7 +1,7 @@
 """Random-instance generation, subproblem audits, and campaign behavior."""
 import pytest
 
-from cstlab.bench import build_instance, fig3_witness_tree
+from cstlab.bench import build_instance, exhibit
 from cstlab.cli import main
 from cstlab.falsify import (
     GBSPLIT,
@@ -112,7 +112,7 @@ class TestCampaign:
     def test_injected_i31_witness_discrepancy(self):
         i31 = build_instance("I31").instance
         cfg = CampaignConfig(model=GBSPLIT, n_min=2, n_max=4, trials=2, base_seed=1)
-        case = InjectedCase("I31", i31, fig3_witness_tree())
+        case = InjectedCase("I31", i31, exhibit("fig3", i31))
         report = campaign(cfg, injected=(case,))
         hits = [d for d in report.discrepancies if d.name == "I31"]
         assert len(hits) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
-from cstlab.hw import hw_solve, hw_table
+from cstlab.hw import HwTable, hw_solve
 from cstlab.model import Interval, gbst_cost, gbst_validate
 from cstlab.oracle import GbstOracle
 
@@ -44,11 +44,11 @@ class TestHwTable:
     def test_one_key_instance_cells(self):
         from cstlab.model import Instance
 
-        table = hw_table(Instance(("A",), (4,)))
+        table = HwTable(Instance(("A",), (4,)))
         assert sorted(table.cells()) == [(1, 1, 0), (1, 1, 1)]
 
     def test_i9_cell(self):
-        table = hw_table(I9)
+        table = HwTable(I9)
         assert table.cost(1, 9, 2) == 209
 
     def test_every_cell_tree_valid(self):
@@ -56,7 +56,7 @@ class TestHwTable:
 
         for seed in range(6):
             inst = random_instance(2 + seed, 12, 600 + seed)
-            table = hw_table(inst)
+            table = HwTable(inst)
             for i, j, h in table.cells():
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
@@ -66,12 +66,12 @@ class TestHwTable:
                 assert len(list(gbst_nodes(r.tree))) == j - i + 1 - h
 
     def test_matches_hw_solve(self):
-        table = hw_table(I9)
+        table = HwTable(I9)
         for i, j, h in [(1, 9, 2), (2, 5, 1), (1, 3, 0)]:
             assert table.result(i, j, h) == hw_solve(I9, Interval(i, j), h)
 
     def test_backpointer_recorded(self):
-        table = hw_table(I9)
+        table = HwTable(I9)
         s, h1, h2, e = table.choice(1, 9, 2)
         assert h1 + h2 == 3  # the root consumes one of the unused keys
         assert 1 <= e <= 9
@@ -81,7 +81,7 @@ class TestHwProperties:
     def test_never_beats_oracle(self):
         for seed in range(10):
             inst = random_instance(2 + seed % 6, 16, 700 + seed)
-            table = hw_table(inst)
+            table = HwTable(inst)
             oracle = GbstOracle(inst)
             for i, j, h in table.cells():
                 assert table.cost(i, j, h) >= oracle.opt_star_cost(Interval(i, j), h)

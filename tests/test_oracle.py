@@ -115,19 +115,20 @@ class TestGbstOptStar:
 
     def test_dominated_by_figure_trees(self):
         from cstlab import bench
+        from cstlab.bench import exhibit
 
         oracle = GbstOracle(I9)
-        assert oracle.opt_cost(I9.full_interval(), (3, 5)) <= gbst_cost(bench.fig2_tree_a(), I9)
-        assert oracle.opt_cost(I9.full_interval(), (3, 8)) <= gbst_cost(bench.fig2_tree_b(), I9)
+        assert oracle.opt_cost(I9.full_interval(), (3, 5)) <= gbst_cost(exhibit("fig2_a", I9), I9)
+        assert oracle.opt_cost(I9.full_interval(), (3, 8)) <= gbst_cost(exhibit("fig2_b", I9), I9)
         i10 = bench._prefix_instance(10)
         o8, o10, o15 = TwcstOracle(I8), TwcstOracle(i10), TwcstOracle(I15)
-        assert o8.opt_cost(I8.full_interval(), (8,)) <= twcst_cost(bench.fig4_tree_a(), I8)
-        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(bench.fig4_tree_b(), I8)
-        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(bench.fig4_tree_c(), I8)
-        assert o10.opt_cost(i10.full_interval(), (10,)) <= twcst_cost(bench.fig5_tree_a(), i10)
-        assert o10.opt_cost(i10.full_interval(), (1,)) <= twcst_cost(bench.fig5_tree_b(), i10)
+        assert o8.opt_cost(I8.full_interval(), (8,)) <= twcst_cost(exhibit("fig4_a", I8), I8)
+        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(exhibit("fig4_b", I8), I8)
+        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(exhibit("fig4_c", I8), I8)
+        assert o10.opt_cost(i10.full_interval(), (10,)) <= twcst_cost(exhibit("fig5_a", i10), i10)
+        assert o10.opt_cost(i10.full_interval(), (1,)) <= twcst_cost(exhibit("fig5_b", i10), i10)
         assert o15.opt_cost(I15.full_interval(), (1, 15)) <= twcst_cost(
-            bench.fig6_witness_tree(), I15
+            exhibit("fig6", I15), I15
         )
 
     def test_bad_hole_count(self):
@@ -228,10 +229,10 @@ class TestTwcstOptStar:
                         stack.extend((node.yes, node.no))
 
     def test_twcst_scaling_linearity(self):
-        from cstlab.bench import fig4_tree_a
+        from cstlab.bench import exhibit
 
         scaled = I8.scaled(6)
-        assert twcst_cost(fig4_tree_a(), scaled) == 6 * 49
+        assert twcst_cost(exhibit("fig4_a", I8), scaled) == 6 * 49
 
 
 class TestPlacementBound:

@@ -1,7 +1,8 @@
 """Renderers: determinism, round-trips, rejection of invalid trees."""
 import pytest
 
-from cstlab.bench import build_instance, fig2_tree_a, fig4_tree_a
+import reference_exhibits
+from cstlab.bench import build_instance, exhibit
 from cstlab.model import (
     EQ,
     LT,
@@ -37,28 +38,28 @@ class TestAscii:
         assert render_tree(GbstNode(1), "ascii", inst) == "k (3)\n"
 
     def test_round_trip_gbst(self):
-        text = render_tree(fig2_tree_a(), "ascii", I9)
-        assert parse_ascii(text, I9) == strip_splits(fig2_tree_a())
+        text = render_tree(exhibit("fig2_a", I9), "ascii", I9)
+        assert parse_ascii(text, I9) == strip_splits(exhibit("fig2_a", I9))
 
     def test_round_trip_twcst(self):
-        text = render_tree(fig4_tree_a(), "ascii", I8)
-        assert parse_ascii(text, I8) == fig4_tree_a()
+        text = render_tree(exhibit("fig4_a", I8), "ascii", I8)
+        assert parse_ascii(text, I8) == exhibit("fig4_a", I8)
 
     def test_deterministic(self):
-        assert render_tree(fig4_tree_a(), "ascii", I8) == render_tree(
-            fig4_tree_a(), "ascii", I8
+        assert render_tree(exhibit("fig4_a", I8), "ascii", I8) == render_tree(
+            exhibit("fig4_a", I8), "ascii", I8
         )
 
 
 class TestDot:
     def test_well_formed(self):
-        text = render_tree(fig2_tree_a(), "dot", I9)
+        text = render_tree(exhibit("fig2_a", I9), "dot", I9)
         assert text.startswith("digraph")
         assert text.rstrip().endswith("}")
         assert text.count("->") == 6  # seven nodes, six edges
 
     def test_t4a_positive_leaves(self):
-        text = render_tree(fig4_tree_a(), "dot", I8)
+        text = render_tree(exhibit("fig4_a", I8), "dot", I8)
         lines = text.splitlines()
         node_ids = set()
         parents = set()
@@ -76,7 +77,7 @@ class TestDot:
         assert len(positive) == 4
 
     def test_gbst_edge_labels(self):
-        text = render_tree(fig2_tree_a(), "dot", I9)
+        text = render_tree(exhibit("fig2_a", I9), "dot", I9)
         assert 'label="< ' in text
         assert 'label=">= ' in text
 
@@ -97,7 +98,7 @@ class TestIfElse:
         assert text == "if (x < b) {\n  return a\n} else {\n  return b\n}\n"
 
     def test_gbst_emits_eq_then_split(self):
-        text = render_tree(fig2_tree_a(), "ifelse", I9)
+        text = render_tree(exhibit("fig2_a", I9), "ifelse", I9)
         assert "if (x == A2) return A2" in text
         assert "if (x < D0) {" in text
 
@@ -118,7 +119,7 @@ class TestValidityGate:
             render_tree(Leaf(1), "svg", I8)
 
     def test_derive_subproblem(self):
-        iv, holes = derive_subproblem(fig2_tree_a(), I9)
+        iv, holes = derive_subproblem(exhibit("fig2_a", I9), I9)
         assert (iv.i, iv.j) == (1, 9)
         assert holes == (3, 5)
 
@@ -128,7 +129,7 @@ class TestTreeFiles:
         text = "gbsplit\n(A2:D0 (A1:C0 B0 C0) (D1:E0 D0 E0))\n"
         model, tree = parse_tree_file(text, I9)
         assert model == "gbsplit"
-        assert tree == fig2_tree_a()
+        assert tree == reference_exhibits.fig2_tree_a()
 
     def test_gbst_chain_with_dot(self):
         text = "gbsplit\n(B4:A1 . (A3:A1 . A1))\n"

@@ -5,7 +5,7 @@ from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.model import EQ, Cmp, Instance, Interval, Leaf, twcst_cost, twcst_validate
 from cstlab.oracle import TwcstOracle
-from cstlab.spuler import spuler_solve, spuler_table
+from cstlab.spuler import SpulerTable, spuler_solve
 
 I15 = build_instance("I15").instance
 
@@ -41,17 +41,17 @@ class TestSpulerSolve:
 class TestSpulerTable:
     def test_two_key_cell_cost_is_total_weight(self):
         inst = Instance(("A", "B"), (4, 9))
-        table = spuler_table(inst)
+        table = SpulerTable(inst)
         assert table.cost(1, 2, 0) == 13
 
     def test_i15_cell(self):
-        table = spuler_table(I15)
+        table = SpulerTable(I15)
         assert table.cost(1, 15, 2) == 116
 
     def test_all_cell_trees_valid(self):
         for seed in range(6):
             inst = random_instance(2 + seed, 12, 900 + seed)
-            table = spuler_table(inst)
+            table = SpulerTable(inst)
             for i, j, h in table.cells():
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
@@ -63,7 +63,7 @@ class TestSpulerTable:
         # of that key and the key is absent from the no branch.
         from cstlab.model import twcst_leaf_keys
 
-        table = spuler_table(I15)
+        table = SpulerTable(I15)
         for i, j, h in table.cells():
             tree = table.result(i, j, h).tree
             if isinstance(tree, Cmp) and tree.op == EQ:
@@ -71,7 +71,7 @@ class TestSpulerTable:
                 assert tree.key not in twcst_leaf_keys(tree.no)
 
     def test_less_children_keep_queries(self):
-        table = spuler_table(I15)
+        table = SpulerTable(I15)
         for i, j, h in table.cells():
             choice = table.choice(i, j, h)
             if choice and choice[0] == "lt":
@@ -84,7 +84,7 @@ class TestSpulerProperties:
     def test_never_beats_oracle(self):
         for seed in range(10):
             inst = random_instance(2 + seed % 6, 16, 1000 + seed)
-            table = spuler_table(inst)
+            table = SpulerTable(inst)
             oracle = TwcstOracle(inst)
             for i, j, h in table.cells():
                 assert table.cost(i, j, h) >= oracle.opt_star_cost(Interval(i, j), h)
