@@ -102,11 +102,14 @@ def _parse_holeset(text: str, inst: Instance) -> tuple[int, ...]:
 
 def _emit_tree(tree, fmt: str, inst: Instance, out: Optional[str]) -> None:
     text = render_tree(tree, fmt, inst)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out}: {exc}") from None
 
 
 def _cmd_solve(args) -> int:

@@ -22,18 +22,19 @@ h1 + h2 = h + 1 is the arithmetic that makes the recursion well-formed.
 Ties are broken deterministically: smallest equality key, then smallest
 split position, then smallest h1.
 
-The fill keeps, next to each interval's cells, two flat rows indexed by h:
-cost + weight and the rank-permuted mask of the keys placed.  A candidate
-then costs its two rows' entries plus the weight of its free key, so the
-candidate loop reads two ints per side and unpacks no cell.  It skips the
-free-key lookup of a candidate whose bound (the two entries plus the least
-weight in I) strictly exceeds the best cost so far: a candidate of equal
-cost can still win the tie on a smaller e.  Candidates run in ascending
-(s, h1) order, so comparing (cost, e) with a strict < keeps the earliest
-among full ties, as the tie-break rules above require.  Split s = j+1 (one
-child, on the left) is never tried: it offers the same cost and key as
-s = i (one child, on the right), which comes first.  Trees and
-backpointers are built once per cell, from the winning (s, h1, e).
+A candidate costs the cost + weight entries of its two children's rows
+(see :class:`~cstlab.model.DpTable`) plus the weight of its free key, found
+from their ``used_perm`` entries, so the candidate loop reads two ints per
+side.  It skips the free-key lookup of a candidate whose bound (the two
+entries plus the least weight in I) strictly exceeds the best cost so far:
+a candidate of equal cost can still win the tie on a smaller e.
+Candidates run in ascending (s, h1) order, so comparing (cost, e) with a
+strict < keeps the earliest among full ties, as the tie-break rules above
+require.  Split s = j+1 (one child, on the left) is never tried: it offers
+the same cost and key as s = i (one child, on the right), which comes
+first.  The fill stores the winning (s, h1, h2, e) as the backpointer and
+builds no tree; ``_tree`` rebuilds one on request, joining the rebuilt
+children under e with :func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from operator import add
 
 from .model import (
     DpTable,
+    GbstTree,
     Instance,
     Interval,
     SolveResult,
@@ -48,9 +50,6 @@ from .model import (
 )
 
 __all__ = ["HwTable", "hw_solve"]
-
-# Cell layout: (cost, weight, used_mask, used_perm, tree, choice)
-_EMPTY_CELL = (0, 0, 0, 0, None, None)
 
 
 class HwTable(DpTable):
@@ -66,14 +65,9 @@ class HwTable(DpTable):
         weight_at_rank = order.weight_at_rank
         bit = order.bit
         lo, hi = self.interval.i, self.interval.j
-        grid = self._grid
-        # Flat rows by h: cost + weight, and used_perm.
-        cw_rows: dict[tuple[int, int], list[int]] = {}
-        perm_rows: dict[tuple[int, int], list[int]] = {}
+        rows = self._rows
         for i in range(lo, hi + 2):
-            grid[(i, i - 1)] = [_EMPTY_CELL]
-            cw_rows[(i, i - 1)] = [0]
-            perm_rows[(i, i - 1)] = [0]
+            self._add_rows(i, i - 1, 1)
 
         for length in range(1, hi - lo + 2):
             for i in range(lo, hi - length + 2):
@@ -82,25 +76,11 @@ class HwTable(DpTable):
                 least_w = min(weights[i - 1 : j])
                 # Splits with two nonempty sides; the right row is reversed
                 # so that h1 ascending reads it ascending too.
-                sides = [
-                    (
-                        s,
-                        s - i,
-                        j - s + 1,
-                        cw_rows[(i, s - 1)],
-                        perm_rows[(i, s - 1)],
-                        cw_rows[(s, j)][::-1],
-                        perm_rows[(s, j)],
-                    )
-                    for s in range(i + 1, j + 1)
-                ]
-                row: list[tuple] = [None] * (length + 1)
-                cw_row = [0] * (length + 1)
-                perm_row = [0] * (length + 1)
-                grid[(i, j)] = row
-                cw_rows[(i, j)] = cw_row
-                perm_rows[(i, j)] = perm_row
-                row[length] = _EMPTY_CELL
+                sides = []
+                for s in range(i + 1, j + 1):
+                    left, right = rows[(i, s - 1)], rows[(s, j)]
+                    sides.append((s, s - i, j - s + 1, left[1], left[2], right[1][::-1], right[2]))
+                cost_row, cw_row, perm_row, choice_row = self._add_rows(i, j, length + 1)
                 for h in range(length - 1, -1, -1):
                     # s = i, h1 = 0: the single child is (I, h+1).
                     free = iv_perm & ~perm_row[h + 1]
@@ -128,21 +108,20 @@ class HwTable(DpTable):
                                 best_e = key_at_rank[rank]
                                 best_s, best_h1 = s, h1
                                 limit = cost - least_w
-                    s, h1, e = best_s, best_h1, best_e
-                    cl = grid[(i, s - 1)][h1]
-                    cr = grid[(s, j)][h + 1 - h1]
-                    weight = cl[1] + cr[1] + weights[e - 1]
-                    used_perm = cl[3] | cr[3] | bit[e]
-                    row[h] = (
-                        best_cost,
-                        weight,
-                        cl[2] | cr[2] | (1 << (e - 1)),
-                        used_perm,
-                        gbst_join(e, s, i, cl[4], cr[4]),
-                        (s, h1, h + 1 - h1, e),
-                    )
-                    cw_row[h] = best_cost + weight
-                    perm_row[h] = used_perm
+                    s, h1, h2, e = best_s, best_h1, h + 1 - best_h1, best_e
+                    left, right = rows[(i, s - 1)], rows[(s, j)]
+                    # A cost is the weight plus the children's costs.
+                    cost_row[h] = best_cost
+                    cw_row[h] = 2 * best_cost - left[0][h1] - right[0][h2]
+                    perm_row[h] = left[2][h1] | right[2][h2] | bit[e]
+                    choice_row[h] = (s, h1, h2, e)
+
+    def _tree(self, i: int, j: int, h: int) -> GbstTree:
+        choice = self._rows[(i, j)][3][h]
+        if choice is None:
+            return None
+        s, h1, h2, e = choice
+        return gbst_join(e, s, i, self._tree(i, s - 1, h1), self._tree(s, j, h2))
 
 
 def hw_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:

@@ -659,9 +659,14 @@ class DpTable:
     inside a root interval.
 
     A subproblem must keep ``min_queries`` keys, so h runs over
-    0..|I| - min_queries.  Subclasses implement ``_fill``, which stores in
-    ``_grid[(i, j)]`` one cell per h, laid out as
-    (cost, weight, used_mask, used_perm, tree, choice).
+    0..|I| - min_queries.  ``_fill`` writes the table's one store:
+    ``_rows[(i, j)]`` holds four lists indexed by h, namely the cost, the
+    cost + weight, ``used_perm`` (the keys placed, as a permuted mask of
+    :class:`LeastWeightOrder`) and the backpointer (None at the base).  HW
+    also keeps rows for the empty intervals its splits read; the accessors
+    answer only the cells ``cells()`` lists.  No tree is stored: ``result``
+    rebuilds one from the backpointers through the subclass's
+    ``_tree(i, j, h)``.
     """
 
     min_queries = 0
@@ -675,7 +680,7 @@ class DpTable:
         self.inst = inst
         self.interval = interval
         self._order = LeastWeightOrder(inst)
-        self._grid: dict[tuple[int, int], list[tuple]] = {}
+        self._rows: dict[tuple[int, int], tuple[list, list, list, list]] = {}
         self._fill()
 
     @classmethod
@@ -684,24 +689,34 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _cell(self, i: int, j: int, h: int) -> tuple:
-        row = self._grid.get((i, j))
-        if row is None:
+    def _add_rows(self, i: int, j: int, size: int) -> tuple[list, list, list, list]:
+        """Store and return the rows of [i, j]: zeros, no backpointers."""
+        self._rows[(i, j)] = rows = ([0] * size, [0] * size, [0] * size, [None] * size)
+        return rows
+
+    def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list]:
+        rows = self._rows.get((i, j)) if i <= j else None
+        if rows is None:
             raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
-        if not 0 <= h < len(row):
-            raise ValueError(f"hole count {h} out of range 0..{len(row) - 1}")
-        return row[h]
+        if not 0 <= h < len(rows[0]):
+            raise ValueError(f"hole count {h} out of range 0..{len(rows[0]) - 1}")
+        return rows
 
     def result(self, i: int, j: int, h: int) -> SolveResult:
-        cost, weight, used_mask, _, tree, _ = self._cell(i, j, h)
-        return SolveResult(cost=cost, tree=tree, used_mask=used_mask, weight=weight)
+        cost, cost_weight, used_perm, _ = self._row(i, j, h)
+        return SolveResult(
+            cost=cost[h],
+            tree=self._tree(i, j, h),
+            used_mask=mask_of(self._order.key_at_rank[r - 1] for r in keys_of(used_perm[h])),
+            weight=cost_weight[h] - cost[h],
+        )
 
     def choice(self, i: int, j: int, h: int) -> tuple | None:
         """The cell's backpointer, in the subclass's format; None at bases."""
-        return self._cell(i, j, h)[5]
+        return self._row(i, j, h)[3][h]
 
     def cost(self, i: int, j: int, h: int) -> int:
-        return self._cell(i, j, h)[0]
+        return self._row(i, j, h)[0][h]
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """All (i, j, h) coordinates with i <= j, ascending."""

@@ -21,15 +21,17 @@ Subproblem (I, h) with I = [i, j] and at least one query (h <= |I| - 1):
 Ties prefer T_= over T_<, then smallest s, then smallest h1; the base-case
 leaf takes the minimum-weight key (lowest index on ties).
 
-The fill keeps, next to each interval's cells, a flat row of cost + weight
-indexed by h; a T_< candidate costs its two rows' entries.  For each cell
-the T_< candidates of every split are gathered, in ascending (s, h1) order,
-from the concatenated rows of the left sides and of the right sides, summed
-and minimized in C; ``min`` and ``list.index`` keep the earliest of equal
-candidates, and T_= wins a tie against the best of them.  The positions of
-the gather depend only on the interval's length and h, so they are computed
-once per length.  Trees and backpointers are built once per cell, from the
-winning candidate.
+A T_< candidate costs the cost + weight entries of its two children's rows
+(see :class:`~cstlab.model.DpTable`).  For each cell the T_< candidates of
+every split are gathered, in ascending (s, h1) order, from the concatenated
+rows of the left sides and of the right sides, summed and minimized in C;
+``min`` and ``list.index`` keep the earliest of equal candidates, and T_=
+wins a tie against the best of them.  The positions of the gather depend
+only on the interval's length and h, so they are computed once per length.
+The fill stores the winning candidate as the backpointer and builds no
+tree; ``_tree`` rebuilds one on request: ("eq", e) and ("lt", s, h1, h2)
+become Cmp nodes, and the one-leaf base's key is the single rank bit of
+its ``used_perm``.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .model import (
     Interval,
     Leaf,
     SolveResult,
+    TwcstTree,
 )
 
 __all__ = ["SpulerTable", "spuler_solve"]
@@ -96,9 +99,7 @@ class SpulerTable(DpTable):
         key_at_rank = order.key_at_rank
         bit = order.bit
         lo, hi = self.interval.i, self.interval.j
-        grid = self._grid
-        # Flat rows by h: cost + weight.
-        cw_rows: dict[tuple[int, int], list[int]] = {}
+        rows = self._rows
 
         for length in range(1, hi - lo + 2):
             gathers, split_of = _lt_gathers(length)
@@ -108,54 +109,48 @@ class SpulerTable(DpTable):
                 lefts: list[int] = []
                 rights: list[int] = []
                 for s in range(i + 1, j + 1):
-                    lefts += cw_rows[(i, s - 1)]
-                    rights += cw_rows[(s, j)]
+                    lefts += rows[(i, s - 1)][1]
+                    rights += rows[(s, j)][1]
                 left_at, right_at = lefts.__getitem__, rights.__getitem__
-                # Cell layout: (cost, weight, used_mask, used_perm, tree, choice)
-                row: list[tuple] = [None] * length
-                cw_row = [0] * length
-                grid[(i, j)] = row
-                cw_rows[(i, j)] = cw_row
+                cost_row, cw_row, perm_row, choice_row = self._add_rows(i, j, length)
 
                 e = key_at_rank[(iv_perm & -iv_perm).bit_length() - 1]
-                row[length - 1] = (0, weights[e - 1], 1 << (e - 1), bit[e], Leaf(e), None)
                 cw_row[length - 1] = weights[e - 1]
+                perm_row[length - 1] = bit[e]
 
                 for h in range(length - 2, -1, -1):
                     # T_= consumes one hole and recurses on (I, h+1).
-                    sub = row[h + 1]
-                    free = iv_perm & ~sub[3]
+                    free = iv_perm & ~perm_row[h + 1]
                     e = key_at_rank[(free & -free).bit_length() - 1]
                     eq_cost = cw_row[h + 1] + weights[e - 1]
                     at_l, at_r = gathers[h]
                     lt_costs = list(map(add, map(left_at, at_l), map(right_at, at_r)))
                     lt_cost = min(lt_costs)
+                    # A cost is the weight plus the children's costs.
                     if eq_cost <= lt_cost:
-                        weight = sub[1] + weights[e - 1]
-                        row[h] = (
-                            eq_cost,
-                            weight,
-                            sub[2] | (1 << (e - 1)),
-                            sub[3] | bit[e],
-                            Cmp(EQ, e, yes=Leaf(e), no=sub[4]),
-                            ("eq", e),
-                        )
-                        cw_row[h] = eq_cost + weight
+                        cost_row[h] = eq_cost
+                        cw_row[h] = 2 * eq_cost - cost_row[h + 1]
+                        perm_row[h] = perm_row[h + 1] | bit[e]
+                        choice_row[h] = ("eq", e)
                     else:
                         size_l, h1 = split_of[at_l[lt_costs.index(lt_cost)]]
                         s = i + size_l
-                        cl = grid[(i, s - 1)][h1]
-                        cr = grid[(s, j)][h - h1]
-                        weight = cl[1] + cr[1]
-                        row[h] = (
-                            lt_cost,
-                            weight,
-                            cl[2] | cr[2],
-                            cl[3] | cr[3],
-                            Cmp(LT, s, yes=cl[4], no=cr[4]),
-                            ("lt", s, h1, h - h1),
-                        )
-                        cw_row[h] = lt_cost + weight
+                        left, right = rows[(i, s - 1)], rows[(s, j)]
+                        cost_row[h] = lt_cost
+                        cw_row[h] = 2 * lt_cost - left[0][h1] - right[0][h - h1]
+                        perm_row[h] = left[2][h1] | right[2][h - h1]
+                        choice_row[h] = ("lt", s, h1, h - h1)
+
+    def _tree(self, i: int, j: int, h: int) -> TwcstTree:
+        _, _, perm_row, choice_row = self._rows[(i, j)]
+        choice = choice_row[h]
+        if choice is None:  # one leaf: its key is the one rank bit placed
+            return Leaf(self._order.key_at_rank[perm_row[h].bit_length() - 1])
+        if choice[0] == "eq":
+            e = choice[1]
+            return Cmp(EQ, e, yes=Leaf(e), no=self._tree(i, j, h + 1))
+        _, s, h1, h2 = choice
+        return Cmp(LT, s, yes=self._tree(i, s - 1, h1), no=self._tree(s, j, h2))
 
 
 def spuler_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:

@@ -5,7 +5,10 @@ unpacks the two child cells, picks the free least-weight key through a
 method call and ranks itself by the tuple (cost, e, s, h1), or
 (cost, 0/1, s, h1) for Spuler.  They share no loop code with
 :mod:`cstlab.hw` and :mod:`cstlab.spuler`, and the tests require every cell,
-trees and backpointers included, to be equal.
+trees and backpointers included, to be equal.  Each reference keeps its own
+``_grid`` of six-field cells, (cost, weight, used_mask, used_perm, tree,
+choice), with a tree built per cell; the tests read it directly, not
+through the :class:`~cstlab.model.DpTable` accessors.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ class HwTable(DpTable):
         inst = self.inst
         order = LeastWeightOrder(inst)
         lo, hi = self.interval.i, self.interval.j
-        grid = self._grid
+        grid = self._grid = {}
         for i in range(lo, hi + 2):
             grid[(i, i - 1)] = [_EMPTY_CELL]
 
@@ -115,7 +118,7 @@ class SpulerTable(DpTable):
         inst = self.inst
         order = LeastWeightOrder(inst)
         lo, hi = self.interval.i, self.interval.j
-        grid = self._grid
+        grid = self._grid = {}
 
         for length in range(1, hi - lo + 2):
             for i in range(lo, hi - length + 2):

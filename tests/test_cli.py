@@ -3,6 +3,7 @@ import contextlib
 import io
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,17 @@ class TestSolve:
         assert rc == 0
         assert out_file.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_render_to_unwritable_path_exit_3(self, where, i9_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.dot" if where == "missing-dir" else tmp_path
+        rc = main(
+            ["solve", "--model", "gbsplit", "--alg", "hw", "--instance", i9_file,
+             "--render", "dot", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("A -3\n")
@@ -154,6 +166,14 @@ class TestVerifyPaper:
         )
         for line in out.strip().splitlines():
             assert grammar.match(line), line
+
+    def test_all_sections_match_the_expected_report(self, capsys):
+        """The published numbers, byte for byte as recorded in the
+        benchmark's expected report."""
+        expected = Path(__file__).resolve().parents[1] / "cstbench" / "expected" / "paper.txt"
+        rc = main(["verify-paper", "--section", "all"])
+        assert rc == 0
+        assert capsys.readouterr().out.encode() == expected.read_bytes()
 
     def test_byte_identical_across_processes(self):
         import subprocess
@@ -322,6 +342,27 @@ class TestOtherCommands:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _exit_code(argv):
+    """Run the CLI in-process; returns its exit code and stderr.  argparse
+    reports its own usage errors by raising SystemExit(2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def _encode(draw, lines):
+    """The file of *lines*, with a 0xff byte inserted one time in ten."""
+    data = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        cut = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
 # Instance file lines: well-formed key lines (labels K1.. in order) mixed
 # with comments, blanks and malformed lines.
 _MALFORMED_LINES = st.sampled_from(
@@ -330,12 +371,24 @@ _MALFORMED_LINES = st.sampled_from(
 
 
 @st.composite
-def _solve_argv(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
+def _instance_file(draw, n):
+    """An instance file of n keys with up to two malformed lines."""
     weights = draw(st.lists(st.integers(min_value=0, max_value=20), min_size=n, max_size=n))
     lines = [f"K{k} {w}" for k, w in enumerate(weights, 1)]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), draw(_MALFORMED_LINES))
+    return _encode(draw, lines)
+
+
+# --out targets, relative to a fresh directory: a new file, a file in a
+# missing directory, and the directory itself.
+_OUT_TARGETS = ["tree.out", os.path.join("nodir", "tree.out"), "."]
+
+
+@st.composite
+def _solve_argv(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    data = draw(_instance_file(n))
     model, alg = draw(
         st.sampled_from(
             [("gbsplit", "hw"), ("gbsplit", "exact"), ("twcst", "spuler"),
@@ -353,28 +406,82 @@ def _solve_argv(draw):
         flags += ["--holeset", ",".join(labels)]
     if draw(st.booleans()):
         flags += ["--render", draw(st.sampled_from(FORMATS))]
-    return "\n".join(lines) + "\n", flags
+    out = draw(st.sampled_from([None, *_OUT_TARGETS]))
+    return data, flags, out
 
 
 class TestSolveExitCodes:
     @settings(max_examples=300, deadline=None)
     @given(_solve_argv())
     def test_exit_code_is_always_in_the_contract(self, case):
-        """Every solve call ends with 0, 1, 2 or 3 and never a traceback;
-        argparse reports its own usage errors by raising SystemExit(2)."""
-        text, flags = case
+        """Every solve call ends with 0, 1, 2 or 3 and never a traceback."""
+        data, flags, out = case
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "inst.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    rc = main(["solve", "--instance", path, *flags])
-                except SystemExit as exc:
-                    rc = exc.code
-        assert rc in (0, 1, 2, 3), (text, flags, rc)
-        assert "Traceback" not in err.getvalue()
+            with open(path, "wb") as fh:
+                fh.write(data)
+            if out is not None:
+                flags = [*flags, "--out", os.path.join(tmp, out)]
+            rc, err = _exit_code(["solve", "--instance", path, *flags])
+        assert rc in (0, 1, 2, 3), (data, flags, rc)
+        assert "Traceback" not in err
+
+
+class TestBoundExitCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(_instance_file), st.booleans())
+    def test_exit_code_is_always_in_the_contract(self, data, placement):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            flags = ["--placement"] if placement else []
+            rc, err = _exit_code(["bound", "--instance", path, *flags])
+        assert rc in (0, 1, 2, 3), (data, placement, rc)
+        assert "Traceback" not in err
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """Small campaigns (n <= 8, at most 3 trials) with flags inside and
+    outside their ranges; an n-max above the oracle limit is refused before
+    any trial runs."""
+    argv = ["fuzz", "--model", draw(st.sampled_from(["gbsplit", "twcst", "bogus"]))]
+    for flag, values in (
+        ("--n-min", st.integers(min_value=-2, max_value=8)),
+        ("--n-max", st.one_of(st.integers(min_value=-2, max_value=8), st.sampled_from([19, 40]))),
+        ("--wmax", st.one_of(st.integers(min_value=-2, max_value=20), st.just(10**12))),
+        ("--trials", st.integers(min_value=-1, max_value=3)),
+        ("--seed", st.integers(min_value=-5, max_value=5)),
+        ("--holes-max", st.integers(min_value=-2, max_value=4)),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if "--n-max" not in argv:
+        argv += ["--n-max", "8"]
+    if "--trials" not in argv:
+        argv += ["--trials", "3"]
+    if draw(st.booleans()):
+        argv.append("--fail-on-discrepancy")
+    return argv
+
+
+class TestFuzzExitCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(_fuzz_argv())
+    def test_exit_code_is_always_in_the_contract(self, argv):
+        rc, err = _exit_code(argv)
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        assert "Traceback" not in err
+
+
+class TestDepthSeqExitCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=-5, max_value=300))
+    def test_exit_code_is_always_in_the_contract(self, m):
+        rc, err = _exit_code(["depth-seq", str(m)])
+        assert rc in (0, 1, 2, 3), (m, rc)
+        assert "Traceback" not in err
 
 
 # Tree files: a model tag (good or bad), comment lines, and expressions
@@ -391,11 +498,7 @@ def _tree_file(draw):
     lines.append(" ".join(body) if draw(st.booleans()) else "".join(body))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "# note")
-    data = ("\n".join(lines) + "\n").encode()
-    if draw(st.integers(min_value=0, max_value=9)) == 0:
-        cut = draw(st.integers(min_value=0, max_value=len(data)))
-        data = data[:cut] + b"\xff" + data[cut:]
-    return data
+    return _encode(draw, lines)
 
 
 class TestRenderExitCodes:
@@ -412,14 +515,8 @@ class TestRenderExitCodes:
             with open(tree_path, "wb") as fh:
                 fh.write(data)
             for fmt in FORMATS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        rc = main(
-                            ["render", "--instance", inst_path, "--tree", tree_path,
-                             "--format", fmt]
-                        )
-                    except SystemExit as exc:
-                        rc = exc.code
+                rc, err = _exit_code(
+                    ["render", "--instance", inst_path, "--tree", tree_path, "--format", fmt]
+                )
                 assert rc in (0, 1, 2, 3), (data, fmt, rc)
-                assert "Traceback" not in err.getvalue()
+                assert "Traceback" not in err

@@ -17,10 +17,21 @@ SEEDS_PER_WMAX = 60
 
 
 def _assert_same_cells(name, inst, interval=None):
+    """Every i <= j cell of the reference grid, and no other, is a cell of
+    the table, with equal cost, weight, used keys, tree and backpointer."""
     table_cls, ref_cls = TABLES[name]
     table = table_cls(inst, interval)
     reference = ref_cls(inst, interval)
-    assert table._grid == reference._grid, (name, inst.weights, interval)
+    where = (name, inst.weights, interval)
+    expected = sorted(
+        (i, j, h) for (i, j), row in reference._grid.items() if i <= j for h in range(len(row))
+    )
+    assert sorted(table.cells()) == expected, where
+    for i, j, h in expected:
+        cost, weight, used_mask, _, tree, choice = reference._grid[(i, j)][h]
+        r = table.result(i, j, h)
+        got = (table.cost(i, j, h), r.cost, r.weight, r.used_mask, r.tree, table.choice(i, j, h))
+        assert got == (cost, cost, weight, used_mask, tree, choice), (where, (i, j, h))
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

@@ -196,6 +196,23 @@ class TestModels:
         assert len(cells) == len(want)
         assert set(cells) == want
 
+    def test_accessors_answer_exactly_the_listed_cells(self, name):
+        """HW keeps rows for the empty intervals [i, i - 1] its splits read;
+        no accessor may answer from them, or from any other unlisted cell."""
+        inst = build_instance("I9").instance
+        table = MODELS[name].table(inst)
+        cells = set(table.cells())
+        for i in range(inst.n + 2):
+            for j in range(inst.n + 2):
+                for h in range(-1, inst.n + 2):
+                    if (i, j, h) in cells:
+                        assert table.cost(i, j, h) == table.result(i, j, h).cost
+                        continue
+                    refusal = KeyError if i > j else (KeyError, ValueError)
+                    for accessor in (table.cost, table.result, table.choice):
+                        with pytest.raises(refusal):
+                            accessor(i, j, h)
+
     def test_dp_and_oracle_reject_the_same_hole_count(self, name):
         spec = MODELS[name]
         solve = self.SOLVERS[spec.dp]
