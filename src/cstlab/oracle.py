@@ -10,6 +10,13 @@ The solvers are exponential in the interval size and refuse intervals
 beyond a fixed limit.  They serve as the ground truth the polynomial-time
 dynamic programs are audited against.
 
+A whole-table audit reads opt* for every cell from ``star_rows``: one pass
+that costs each query set of the root interval once and files it under
+its lowest key, highest key and size, instead of one hole-set enumeration
+per cell.  Given holes_max, the pass skips every query set with more
+holes than that between its lowest and highest key, so it costs exactly
+the query sets the cells with h <= holes_max need.
+
 Also here: the key-placement lower bound for GBST costs, and the integer
 depth sequences d_m / e_m bounding the total leaf depth of separated and
 nearly-separated query sets in any valid 2WCST.
@@ -74,9 +81,12 @@ class ExactOracle:
     0..|I| - min_queries, and its interval may hold at most ``limit`` keys.
     Subclasses supply the memoized recurrence ``_cost(q)`` and ``_tree(q, i)``,
     which rebuilds an optimal tree for Q from the memo; i is the start of
-    the subproblem's interval.  The memo is shared across all top-level
-    queries on the oracle, so enumerating hole sets at a fixed interval
-    reuses subproblem work.
+    the subproblem's interval.  The recurrence fills the memo top-down, so
+    it reaches only the states the optimum can depend on; its hot loops
+    look each subproblem up in the memo inline and call the method only
+    on a miss.  The memo is shared across all top-level queries on the
+    oracle, so enumerating hole sets at a fixed interval reuses subproblem
+    work.
     """
 
     min_queries = 0
@@ -91,7 +101,13 @@ class ExactOracle:
         interval.validate_for(self.inst.n)
         if interval.size > self.limit:
             raise SizeLimitError(interval.size, self.limit)
-        q = interval.mask() & ~(holes if isinstance(holes, int) else mask_of(holes))
+        if not isinstance(holes, int):
+            holes = tuple(holes)
+            for k in holes:
+                if k not in interval:
+                    raise ValueError(f"hole key {k} outside interval [{interval.i},{interval.j}]")
+            holes = mask_of(holes)
+        q = interval.mask() & ~holes
         if q.bit_count() < self.min_queries:
             raise ValueError("subproblem must keep at least one query")
         return q
@@ -117,12 +133,80 @@ class ExactOracle:
         check_hole_count(h, interval, self.min_queries)
         best = None
         best_holes: tuple[int, ...] = ()
+        get = self._memo.get
         cost = self._cost
         for holes in combinations(interval.keys(), h):
-            c = cost(full & ~mask_of(holes))
+            q = full & ~mask_of(holes)
+            c = get(q)
+            if c is None:
+                c = cost(q)
             if best is None or c < best:
                 best, best_holes = c, holes
         return best, best_holes
+
+    def star_rows(
+        self, interval: Interval, holes_max: int | None = None
+    ) -> dict[tuple[int, int], list[int]]:
+        """opt* of every cell inside *interval*, from one pass over its query sets.
+
+        Returns {(i, j): row} for every [i, j] inside the interval, where
+        row[h] == opt_star_cost(Interval(i, j), h) for every h in
+        0..|[i, j]| - min_queries that is at most holes_max.  A query set Q
+        with lowest key lo and highest key hi serves exactly the cells
+        [i, j] around [lo, hi] with h = |[i, j]| - |Q|.  So each Q is costed
+        once and the least cost is kept per (lo, hi, holes inside [lo, hi]);
+        a cell then takes the least of its own entry and its two
+        one-key-shorter sub-intervals' entries at h - 1.  A Q with more than
+        holes_max holes inside [lo, hi] serves no cell with h <= holes_max
+        and is never built, so the pass costs exactly the query sets that
+        opt_star_cost would on those cells.
+        """
+        self._query_set(interval, 0)
+        if holes_max is None:
+            holes_max = interval.size
+        elif holes_max < 0:
+            raise ValueError("holes_max must be >= 0")
+        get = self._memo.get
+        cost = self._cost
+        rows: dict[tuple[int, int], list[int]] = {}
+        # inner[r]: the kept inner keys of a span of length `span`, as masks
+        # of its span - 2 inner bits, that leave r of them as holes.
+        inner = [[0]]
+        for span in range(1, interval.size + 1):
+            if span > 2:
+                # The new top inner bit is either kept or one more hole.
+                top = 1 << (span - 3)
+                old = inner
+                inner = [
+                    ([s | top for s in old[r]] if r < len(old) else [])
+                    + (old[r - 1] if r else [])
+                    for r in range(min(holes_max, span - 2) + 1)
+                ]
+            width = min(holes_max, span - self.min_queries) + 1
+            for lo in range(interval.i, interval.j - span + 2):
+                hi = lo + span - 1
+                ends = (1 << (lo - 1)) | (1 << (hi - 1))
+                row = [None] * width
+                if width > span:
+                    row[span] = 0  # every key a hole: the empty GBST
+                for r, kept in enumerate(inner):
+                    best = None
+                    for s in kept:
+                        q = ends | s << lo
+                        c = get(q)
+                        if c is None:
+                            c = cost(q)
+                        if best is None or c < best:
+                            best = c
+                    row[r] = best
+                if span > 1:
+                    left, right = rows[(lo, hi - 1)], rows[(lo + 1, hi)]
+                    for h in range(1, width):
+                        sub = min(left[h - 1], right[h - 1])
+                        if row[h] is None or sub < row[h]:
+                            row[h] = sub
+                rows[(lo, hi)] = row
+        return rows
 
 
 class GbstOracle(ExactOracle):
@@ -147,13 +231,17 @@ class GbstOracle(ExactOracle):
         self._g_memo: dict[int, int] = {}
 
     def _cost(self, q: int) -> int:
-        hit = self._memo.get(q)
+        get = self._memo.get
+        hit = get(q)
         if hit is not None:
             return hit
+        g_get = self._g_memo.get
         cost = self._cost
         g = self._g
         w = self.w
-        best = g(q)
+        best = g_get(q)
+        if best is None:
+            best = g(q)
         total = 0
         left = 0
         rest = q
@@ -163,10 +251,22 @@ class GbstOracle(ExactOracle):
             left |= low
             total += w[low.bit_length()]
             if rest:
-                c = g(left) + cost(rest)
+                g_left = g_get(left)
+                if g_left is None:
+                    g_left = g(left)
+                cost_rest = get(rest)
+                if cost_rest is None:
+                    cost_rest = cost(rest)
+                c = g_left + cost_rest
                 if c < best:
                     best = c
-                c = cost(left) + g(rest)
+                cost_left = get(left)
+                if cost_left is None:
+                    cost_left = cost(left)
+                g_rest = g_get(rest)
+                if g_rest is None:
+                    g_rest = g(rest)
+                c = cost_left + g_rest
                 if c < best:
                     best = c
         result = total + best
@@ -177,13 +277,16 @@ class GbstOracle(ExactOracle):
         hit = self._g_memo.get(q)
         if hit is not None:
             return hit
+        get = self._memo.get
         cost = self._cost
         best = None
         rest = q
         while rest:
             low = rest & -rest
             rest ^= low
-            c = cost(q ^ low)
+            c = get(q ^ low)
+            if c is None:
+                c = cost(q ^ low)
             if best is None or c < best:
                 best = c
         self._g_memo[q] = best
@@ -247,7 +350,8 @@ class TwcstOracle(ExactOracle):
         self._memo: dict[int, int] = {1 << k: 0 for k in range(inst.n)}
 
     def _cost(self, q: int) -> int:
-        hit = self._memo.get(q)
+        get = self._memo.get
+        hit = get(q)
         if hit is not None:
             return hit
         cost = self._cost
@@ -263,11 +367,19 @@ class TwcstOracle(ExactOracle):
             weight = w[low.bit_length()]
             total += weight
             if weight:
-                c = cost(q ^ low)
+                c = get(q ^ low)
+                if c is None:
+                    c = cost(q ^ low)
                 if best is None or c < best:
                     best = c
             if rest:
-                c = cost(left) + cost(rest)
+                cost_left = get(left)
+                if cost_left is None:
+                    cost_left = cost(left)
+                cost_rest = get(rest)
+                if cost_rest is None:
+                    cost_rest = cost(rest)
+                c = cost_left + cost_rest
                 if best is None or c < best:
                     best = c
         result = total + best

@@ -146,6 +146,19 @@ class TestEntryPoint:
         assert scaled == _oracles((1,) * 12)[1].opt_cost(Interval(1, 12)) << 58
         assert scaled > 2**63
 
+    @pytest.mark.parametrize("oracle", [GbstOracle, TwcstOracle])
+    def test_hole_keys_outside_the_interval_are_refused(self, oracle):
+        inst = random_instance(8, 9, 77)
+        new = oracle(inst)
+        for key in (6, 0, 1, 9):
+            with pytest.raises(ValueError, match=f"hole key {key} outside interval \\[2,4\\]"):
+                new.opt_cost(Interval(2, 4), (3, key))
+            with pytest.raises(ValueError, match=f"hole key {key} outside"):
+                new.opt(Interval(2, 4), [key])
+        # A mask keeps its meaning: bits outside the interval are ignored.
+        assert new.opt_cost(Interval(2, 4), range_mask(6, 6) | 1) == new.opt_cost(Interval(2, 4))
+        assert new.opt_cost(Interval(2, 4), (3,)) == new.opt_cost(Interval(2, 4), range_mask(3, 3))
+
     def test_keys_beyond_bit_64(self):
         inst = Instance(
             tuple(f"K{k:03d}" for k in range(1, 81)), tuple(1 + k % 7 for k in range(80))
@@ -154,3 +167,18 @@ class TestEntryPoint:
         twcst = TwcstOracle(inst)
         assert gbst.opt_cost(Interval(70, 74)) == min_gbst_cost(inst, tuple(range(70, 75)))
         assert twcst.opt_cost(Interval(70, 74)) == min_twcst_cost(inst, tuple(range(70, 75)))
+
+
+class TestReachableStates:
+    """The top-down fills reach only the states the optimum depends on;
+    these counts pin that, zero-weight pruning included."""
+
+    def test_twcst(self):
+        oracle = TwcstOracle(random_instance(18, 1000, 7, 0.25))
+        oracle.opt_cost(oracle.inst.full_interval())
+        assert len(oracle._memo) == 5292
+
+    def test_gbst(self):
+        oracle = GbstOracle(random_instance(12, 1000, 7, 0.25))
+        oracle.opt_cost(oracle.inst.full_interval())
+        assert (len(oracle._memo), len(oracle._g_memo)) == (4096, 4095)

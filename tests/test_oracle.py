@@ -235,6 +235,41 @@ class TestTwcstOptStar:
         assert twcst_cost(exhibit("fig4_a", I8), scaled) == 6 * 49
 
 
+class TestStarRows:
+    """One pass over the query sets gives every cell's opt* and costs
+    exactly the query sets that per-cell opt_star_cost would."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_matches_per_cell_opt_star(self, seed):
+        inst = random_instance(2 + seed % 9, 16, 700 + seed)
+        n = inst.n
+        for oracle in (GbstOracle, TwcstOracle):
+            for root in (inst.full_interval(), Interval(2, max(2, n - 1))):
+                for holes_max in (None, 0, 1, 2):
+                    new = oracle(inst)
+                    rows = new.star_rows(root, holes_max)
+                    fresh = oracle(inst)
+                    expected = {}
+                    for i in root.keys():
+                        for j in range(i, root.j + 1):
+                            top = j - i + 1 - oracle.min_queries
+                            if holes_max is not None:
+                                top = min(top, holes_max)
+                            expected[(i, j)] = [
+                                fresh.opt_star_cost(Interval(i, j), h) for h in range(top + 1)
+                            ]
+                    assert rows == expected, (oracle.__name__, root, holes_max)
+                    assert set(new._memo) == set(fresh._memo), (oracle.__name__, root, holes_max)
+
+    def test_refuses_what_opt_star_refuses(self):
+        with pytest.raises(ValueError, match="holes_max"):
+            GbstOracle(I9).star_rows(I9.full_interval(), -1)
+        with pytest.raises(SizeLimitError):
+            GbstOracle(I31).star_rows(I31.full_interval(), 0)
+        with pytest.raises(ValueError, match="invalid"):
+            TwcstOracle(I9).star_rows(Interval(3, 10))
+
+
 class TestPlacementBound:
     def test_i31(self):
         assert placement_lower_bound(I31) == 1757
