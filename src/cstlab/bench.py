@@ -134,8 +134,6 @@ INSTANCE_NAMES = ("fig1", "I9", "I31", "I8", "I15")
 class NamedInstance:
     name: str
     instance: Instance
-    interval: Interval
-    holes: int
 
 
 def _labels(n: int) -> tuple[str, ...]:
@@ -146,11 +144,9 @@ def build_instance(name: str) -> NamedInstance:
     """Construct a canned instance; checksums are enforced here."""
     if name == "fig1":
         inst = Instance(_FIG1_LABELS, _FIG1_WEIGHTS)
-        named = NamedInstance(name, inst, inst.full_interval(), 0)
     elif name == "I9":
         inst = Instance(_I9_LABELS, _I9_WEIGHTS)
         _require(sum(inst.weights) == 137, "I9 weight sum must be 137")
-        named = NamedInstance(name, inst, inst.full_interval(), 2)
     elif name == "I31":
         inst = Instance(_I31_LABELS, _I31_WEIGHTS)
         _require(inst.weights[:9] == _I9_WEIGHTS, "I31 must start with I9")
@@ -160,17 +156,14 @@ def build_instance(name: str) -> NamedInstance:
             "I31 weight multiset mismatch",
         )
         _require(inst.weights[11] == 10, "twelfth key of I31 must have weight 10")
-        named = NamedInstance(name, inst, inst.full_interval(), 0)
     elif name == "I8":
         inst = Instance(_labels(8), _I15_WEIGHTS[:8])
-        named = NamedInstance(name, inst, inst.full_interval(), 1)
     elif name == "I15":
         inst = Instance(_labels(15), _I15_WEIGHTS)
         _require(sum(inst.weights) == 49, "I15 weight sum must be 49")
-        named = NamedInstance(name, inst, inst.full_interval(), 2)
     else:
         raise KeyError(f"unknown instance name {name!r}")
-    return named
+    return NamedInstance(name, inst)
 
 
 def _require(cond: bool, message: str) -> None:

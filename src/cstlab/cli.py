@@ -137,8 +137,6 @@ def _cmd_solve(args) -> int:
         if args.alg != "exact":
             raise UsageError("--holeset applies only to --alg exact")
         holeset = _parse_holeset(args.holeset, inst)
-        if any(k not in interval for k in holeset):
-            raise UsageError("--holeset keys must lie inside the interval")
 
     h = args.holes
     if holeset is None:

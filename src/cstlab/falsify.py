@@ -19,6 +19,8 @@ from typing import Callable, Optional, Sequence
 
 from .hw import HwTable
 from .model import (
+    GBSPLIT,
+    TWCST,
     DpTable,
     Instance,
     gbst_cost,
@@ -44,10 +46,6 @@ __all__ = [
     "campaign",
     "replay_trial",
 ]
-
-GBSPLIT = "gbsplit"
-TWCST = "twcst"
-
 
 @dataclass(frozen=True)
 class Model:
@@ -129,7 +127,6 @@ class CampaignConfig:
     trials: int = 100
     base_seed: int = 0
     holes_max: Optional[int] = None
-    zero_weight_prob: float = 0.25
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -328,7 +325,7 @@ def _run_random_trial(
 ) -> tuple[list[Discrepancy], int]:
     rng = random.Random(seed)
     n = rng.randint(cfg.n_min, cfg.n_max)
-    inst = random_instance(n, cfg.wmax, seed, cfg.zero_weight_prob)
+    inst = random_instance(n, cfg.wmax, seed)
     found, checked = _audit(cfg.model, inst, cfg.holes_max)
     tagged = [dataclasses.replace(d, trial=trial, seed=seed) for d in found]
     return tagged, checked

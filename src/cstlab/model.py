@@ -24,6 +24,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
+    "GBSPLIT",
+    "TWCST",
     "ParseError",
     "Instance",
     "Interval",
@@ -271,6 +273,11 @@ def parse_instance(text: str) -> Instance:
 def format_instance(inst: Instance) -> str:
     """Inverse of parse_instance; used to export instances for replay."""
     return "".join(f"{lab} {w}\n" for lab, w in zip(inst.labels, inst.weights))
+
+
+# The two tree families' tags, as tree files and the command line spell them.
+GBSPLIT = "gbsplit"
+TWCST = "twcst"
 
 
 # ---------------------------------------------------------------------------

@@ -5,37 +5,39 @@ per node, split keys omitted, children marked ``L:``/``R:`` (GBST) or
 ``y:``/``n:`` (2WCST).  It re-parses to the original tree shape.
 
 Tree files are parenthesized preorder text with a leading model tag; see
-the README for the grammar.
+the README for the grammar.  Each format has one walk for both families,
+one interpreter frame per tree level.
 """
 from __future__ import annotations
 
 import re
+from itertools import count
 
 from .model import (
     EQ,
+    GBSPLIT,
     LT,
+    TWCST,
     Cmp,
     GbstNode,
     Instance,
     Interval,
     Leaf,
     ParseError,
-    TwcstTree,
     gbst_nodes,
     gbst_validate,
     twcst_leaf_keys,
     twcst_validate,
 )
 
-__all__ = [
-    "InvalidTreeError",
-    "render_tree",
-    "parse_ascii",
-    "parse_tree_file",
-    "derive_subproblem",
-]
+__all__ = ["InvalidTreeError", "render_tree", "parse_ascii", "parse_tree_file",
+           "derive_subproblem"]
 
 FORMATS = ("dot", "ascii", "ifelse")
+
+# A comparison as DOT/ASCII labels and tree files spell it.
+_OP_MARK = {EQ: "=", LT: "<"}
+_MARK_OP = {"=": EQ, "<": LT}
 
 
 class InvalidTreeError(ValueError):
@@ -57,21 +59,15 @@ def derive_subproblem(tree, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
     return interval, holes
 
 
-def _check(tree, inst: Instance) -> None:
-    interval, holes = derive_subproblem(tree, inst)
-    if isinstance(tree, (Leaf, Cmp)):
-        verdict = twcst_validate(tree, interval, holes, inst)
-    else:
-        verdict = gbst_validate(tree, interval, holes, inst)
-    if not verdict:
-        raise InvalidTreeError("; ".join(verdict.violations))
-
-
 def render_tree(tree, fmt: str, inst: Instance) -> str:
     """Render a valid GBST or 2WCST tree; rejects invalid trees."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    _check(tree, inst)
+    interval, holes = derive_subproblem(tree, inst)
+    validate = twcst_validate if isinstance(tree, (Leaf, Cmp)) else gbst_validate
+    verdict = validate(tree, interval, holes, inst)
+    if not verdict:
+        raise InvalidTreeError("; ".join(verdict.violations))
     if fmt == "dot":
         return _dot(tree, inst)
     if fmt == "ascii":
@@ -85,41 +81,29 @@ def render_tree(tree, fmt: str, inst: Instance) -> str:
 
 def _dot(tree, inst: Instance) -> str:
     lines = ["digraph cst {", "  node [shape=box];"]
-    counter = [0]
+    label, weight, ids = inst.label, inst.weight, count()
 
-    def new_id() -> str:
-        counter[0] += 1
-        return f"n{counter[0] - 1}"
-
-    def emit_gbst(node: GbstNode) -> str:
-        nid = new_id()
-        lines.append(f'  {nid} [label="{inst.label(node.eq)}:{inst.weight(node.eq)}"];')
-        for child, sign in ((node.left, "<"), (node.right, ">=")):
-            if child is not None:
-                label = f"{sign} {inst.label(node.split)}"
-                cid = emit_gbst(child)
-                lines.append(f'  {nid} -> {cid} [label="{label}"];')
+    def emit(node) -> str:
+        nid = f"n{next(ids)}"
+        if type(node) is GbstNode:
+            key, first, second = node.eq, node.left, node.right
+            mark = ""
+            if node.split is not None:
+                split = label(node.split)
+                first_edge, second_edge = f"< {split}", f">= {split}"
+        elif type(node) is Cmp:
+            key, first, second = node.key, node.yes, node.no
+            mark, first_edge, second_edge = _OP_MARK[node.op], "yes", "no"
+        else:
+            key, mark, first, second = node.key, "", None, None
+        lines.append(f'  {nid} [label="{mark}{label(key)}:{weight(key)}"];')
+        if first is not None:
+            lines.append(f'  {nid} -> {emit(first)} [label="{first_edge}"];')
+        if second is not None:
+            lines.append(f'  {nid} -> {emit(second)} [label="{second_edge}"];')
         return nid
 
-    def emit_twcst(node: TwcstTree) -> str:
-        nid = new_id()
-        if isinstance(node, Leaf):
-            lines.append(f'  {nid} [label="{inst.label(node.key)}:{inst.weight(node.key)}"];')
-            return nid
-        op = "=" if node.op == EQ else "<"
-        lines.append(
-            f'  {nid} [label="{op}{inst.label(node.key)}:{inst.weight(node.key)}"];'
-        )
-        yid = emit_twcst(node.yes)
-        lines.append(f'  {nid} -> {yid} [label="yes"];')
-        nid2 = emit_twcst(node.no)
-        lines.append(f'  {nid} -> {nid2} [label="no"];')
-        return nid
-
-    if isinstance(tree, (Leaf, Cmp)):
-        emit_twcst(tree)
-    else:
-        emit_gbst(tree)
+    emit(tree)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -130,29 +114,25 @@ def _dot(tree, inst: Instance) -> str:
 
 def _ascii(tree, inst: Instance) -> str:
     lines: list[str] = []
+    label, weight = inst.label, inst.weight
 
-    def emit_gbst(node: GbstNode, depth: int, marker: str) -> None:
-        pad = "  " * depth
-        lines.append(f"{pad}{marker}{inst.label(node.eq)} ({inst.weight(node.eq)})")
-        if node.left is not None:
-            emit_gbst(node.left, depth + 1, "L: ")
-        if node.right is not None:
-            emit_gbst(node.right, depth + 1, "R: ")
+    def emit(node, pad: str, marker: str) -> None:
+        if type(node) is GbstNode:
+            key, first, second = node.eq, node.left, node.right
+            mark, first_marker, second_marker = "", "L: ", "R: "
+        elif type(node) is Cmp:
+            key, first, second = node.key, node.yes, node.no
+            mark, first_marker, second_marker = _OP_MARK[node.op], "y: ", "n: "
+        else:
+            key, mark, first, second = node.key, "", None, None
+        lines.append(f"{pad}{marker}{mark}{label(key)} ({weight(key)})")
+        pad += "  "
+        if first is not None:
+            emit(first, pad, first_marker)
+        if second is not None:
+            emit(second, pad, second_marker)
 
-    def emit_twcst(node: TwcstTree, depth: int, marker: str) -> None:
-        pad = "  " * depth
-        if isinstance(node, Leaf):
-            lines.append(f"{pad}{marker}{inst.label(node.key)} ({inst.weight(node.key)})")
-            return
-        op = "=" if node.op == EQ else "<"
-        lines.append(f"{pad}{marker}{op}{inst.label(node.key)} ({inst.weight(node.key)})")
-        emit_twcst(node.yes, depth + 1, "y: ")
-        emit_twcst(node.no, depth + 1, "n: ")
-
-    if isinstance(tree, (Leaf, Cmp)):
-        emit_twcst(tree, 0, "")
-    else:
-        emit_gbst(tree, 0, "")
+    emit(tree, "", "")
     return "\n".join(lines) + "\n"
 
 
@@ -164,54 +144,58 @@ _ASCII_LINE = re.compile(
 def parse_ascii(text: str, inst: Instance):
     """Re-parse ASCII output into a tree of the same shape.
 
-    GBST split keys are not in the ASCII form, so they come back as None;
-    compare shapes with split keys stripped.
+    GBST split keys are not in the ASCII form, so they come back as None.
+    Text is 2WCST when any line has a ``y:``/``n:`` marker or a comparison.
+    A child sits one level below its parent under one of its family's two
+    markers, each used at most once; a comparison needs both.
     """
     entries = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        m = _ASCII_LINE.match(raw)
-        if m is None:
-            raise ParseError(f"bad ascii tree line {raw!r}")
-        entries.append(
-            (
-                len(m.group("indent")) // 2,
-                m.group("marker"),
-                m.group("op"),
-                inst.index(m.group("label")),
-            )
-        )
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            if raw.strip():
+                m = _ASCII_LINE.match(raw)
+                if m is None:
+                    raise ParseError(f"bad ascii tree line {raw!r}", lineno)
+                indent, marker, op, name, _ = m.groups()
+                entries.append((len(indent) // 2, marker, op, inst.index(name), lineno))
+    except KeyError as exc:
+        raise ParseError(str(exc), lineno) from None
     if not entries:
         raise ParseError("empty ascii tree")
-    kind = "twcst" if any(e[1] in ("y", "n") or e[2] for e in entries) else "gbst"
-    pos = [0]
+    twcst = any(e[1] in ("y", "n") or e[2] for e in entries)
+    first_marker, second_marker = ("y", "n") if twcst else ("L", "R")
+    pos, end = 0, len(entries)
 
-    def build_gbst(depth: int) -> GbstNode:
-        _, _, _, key = entries[pos[0]]
-        pos[0] += 1
-        left = right = None
-        while pos[0] < len(entries) and entries[pos[0]][0] == depth + 1:
-            marker = entries[pos[0]][1]
-            child = build_gbst(depth + 1)
-            if marker == "L":
-                left = child
+    def build(depth: int):
+        nonlocal pos
+        _, _, op, key, lineno = entries[pos]
+        pos += 1
+        first = second = None
+        while pos < end:
+            child_depth, marker, _, _, child_line = entries[pos]
+            if child_depth <= depth:
+                break
+            if child_depth != depth + 1:
+                raise ParseError(f"child at depth {child_depth} below depth {depth}", child_line)
+            if marker == first_marker and first is None:
+                first = build(depth + 1)
+            elif marker == second_marker and second is None:
+                second = build(depth + 1)
             else:
-                right = child
-        return GbstNode(key, split=None, left=left, right=right)
-
-    def build_twcst(depth: int) -> TwcstTree:
-        _, _, op, key = entries[pos[0]]
-        pos[0] += 1
-        if op is None:
+                raise ParseError(f"missing, repeated or foreign child marker {marker!r}", child_line)
+        if not twcst:
+            return GbstNode(key, split=None, left=first, right=second)
+        if op is None and first is None and second is None:
             return Leaf(key)
-        yes = build_twcst(depth + 1)
-        no = build_twcst(depth + 1)
-        return Cmp(EQ if op == "=" else LT, key, yes=yes, no=no)
+        if op is None or first is None or second is None:
+            raise ParseError("a comparison needs both y: and n: children, a leaf none", lineno)
+        return Cmp(_MARK_OP[op], key, yes=first, no=second)
 
-    tree = build_gbst(0) if kind == "gbst" else build_twcst(0)
-    if pos[0] != len(entries):
-        raise ParseError("trailing ascii tree lines")
+    if entries[0][:2] != (0, None):
+        raise ParseError("the root line must be unindented and unmarked", entries[0][4])
+    tree = build(0)
+    if pos != end:
+        raise ParseError("trailing ascii tree lines", entries[pos][4])
     return tree
 
 
@@ -220,37 +204,27 @@ def parse_ascii(text: str, inst: Instance):
 # ---------------------------------------------------------------------------
 
 def _ifelse(tree, inst: Instance) -> str:
-    lines: list[str] = []
+    label = inst.label
 
-    def block(body: list[str]) -> list[str]:
-        return ["  " + line for line in body] if body else ["  unreachable"]
-
-    def emit_gbst(node: GbstNode) -> list[str]:
-        label = inst.label(node.eq)
-        if node.left is None and node.right is None:
-            return [f"return {label}"]
-        out = [f"if (x == {label}) return {label}"]
-        split = inst.label(node.split)
-        out.append(f"if (x < {split}) {{")
-        out.extend(block(emit_gbst(node.left) if node.left else []))
+    def emit(node) -> list[str]:
+        if type(node) is GbstNode:
+            eq = label(node.eq)
+            if node.left is None and node.right is None:
+                return [f"return {eq}"]
+            out = [f"if (x == {eq}) return {eq}", f"if (x < {label(node.split)}) {{"]
+            first, second = node.left, node.right
+        elif type(node) is Cmp:
+            out = [f"if (x {'==' if node.op == EQ else '<'} {label(node.key)}) {{"]
+            first, second = node.yes, node.no
+        else:
+            return [f"return {label(node.key)}"]
+        out.extend(["  " + line for line in emit(first)] if first is not None else ["  unreachable"])
         out.append("} else {")
-        out.extend(block(emit_gbst(node.right) if node.right else []))
+        out.extend(["  " + line for line in emit(second)] if second is not None else ["  unreachable"])
         out.append("}")
         return out
 
-    def emit_twcst(node: TwcstTree) -> list[str]:
-        if isinstance(node, Leaf):
-            return [f"return {inst.label(node.key)}"]
-        cmp_op = "==" if node.op == EQ else "<"
-        out = [f"if (x {cmp_op} {inst.label(node.key)}) {{"]
-        out.extend(block(emit_twcst(node.yes)))
-        out.append("} else {")
-        out.extend(block(emit_twcst(node.no)))
-        out.append("}")
-        return out
-
-    lines = emit_twcst(tree) if isinstance(tree, (Leaf, Cmp)) else emit_gbst(tree)
-    return "\n".join(lines) + "\n"
+    return "\n".join(emit(tree)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -270,75 +244,54 @@ def parse_tree_file(text: str, inst: Instance) -> tuple[str, object]:
       or a bare ``EQ`` label for a leaf node.
     * twcst:   ``(=KEY YES NO)``, ``(<KEY YES NO)``, or a bare leaf label.
     """
-    stripped = [
-        line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")
-    ]
+    stripped = [line for line in text.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
     if not stripped:
         raise ParseError("empty tree file")
     model = stripped[0].strip()
-    if model not in ("gbsplit", "twcst"):
+    if model not in (GBSPLIT, TWCST):
         raise ParseError(f"tree file must start with a model tag, got {model!r}")
     body = " ".join(stripped[1:])
     tokens = _TOKEN.findall(body)
     if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", body):
         raise ParseError("tree expression contains unexpected characters")
-    pos = [0]
-
-    def peek() -> str | None:
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    gbst, rest = model == GBSPLIT, iter(tokens)
 
     def take() -> str:
-        tok = peek()
+        tok = next(rest, None)
         if tok is None:
             raise ParseError("unexpected end of tree expression")
-        pos[0] += 1
         return tok
 
-    def key_of(label: str) -> int:
-        try:
-            return inst.index(label)
-        except KeyError as exc:
-            raise ParseError(str(exc)) from None
-
-    def parse_gbst():
+    def parse():
         tok = take()
-        if tok == ".":
-            return None
         if tok == "(":
-            head = take()
-            if ":" in head:
-                eq_label, split_label = head.split(":", 1)
-                split = key_of(split_label)
+            if gbst:
+                eq_label, _, split_label = take().partition(":")
+                split = inst.index(split_label) if split_label else None
             else:
-                eq_label, split = head, None
-            left = parse_gbst()
-            right = parse_gbst()
+                op = take()
+                if op not in _MARK_OP:
+                    raise ParseError(f"expected '=' or '<', got {op!r}")
+                key = inst.index(take())
+            first, second = parse(), parse()
             if take() != ")":
                 raise ParseError("expected ')' in tree expression")
-            return GbstNode(key_of(eq_label), split=split, left=left, right=right)
-        if tok in (")", "=", "<"):
-            raise ParseError(f"unexpected token {tok!r}")
-        return GbstNode(key_of(tok))
-
-    def parse_twcst():
-        tok = take()
-        if tok == "(":
-            op = take()
-            if op not in ("=", "<"):
-                raise ParseError(f"expected '=' or '<', got {op!r}")
-            key = key_of(take())
-            yes = parse_twcst()
-            no = parse_twcst()
-            if take() != ")":
-                raise ParseError("expected ')' in tree expression")
-            return Cmp(EQ if op == "=" else LT, key, yes=yes, no=no)
+            if gbst:
+                return GbstNode(inst.index(eq_label), split=split, left=first, right=second)
+            return Cmp(_MARK_OP[op], key, yes=first, no=second)
+        if gbst and tok == ".":
+            return None
         if tok in (")", ".", "=", "<"):
             raise ParseError(f"unexpected token {tok!r}")
-        return Leaf(key_of(tok))
+        return GbstNode(inst.index(tok)) if gbst else Leaf(inst.index(tok))
 
-    tree = parse_gbst() if model == "gbsplit" else parse_twcst()
-    if pos[0] != len(tokens):
+    try:
+        tree = parse()
+    except KeyError as exc:
+        raise ParseError(str(exc)) from None
+    if next(rest, None) is not None:
         raise ParseError("trailing tokens in tree expression")
-    if model == "gbsplit" and tree is None:
+    if tree is None:
         raise ParseError("tree file holds an empty tree")
     return model, tree

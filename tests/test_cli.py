@@ -97,6 +97,15 @@ class TestSolve:
         )
         assert rc == 2
 
+    def test_holeset_outside_interval_is_usage_error(self, i9_file, capsys):
+        rc = main(
+            ["solve", "--model", "gbsplit", "--alg", "exact", "--instance", i9_file,
+             "--interval", "1", "5", "--holeset", "A3,D1"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "outside interval [1,5]" in err
+
     def test_render_to_file(self, i9_file, tmp_path, capsys):
         out_file = tmp_path / "tree.dot"
         rc = main(

@@ -158,3 +158,38 @@ class TestTreeFiles:
     def test_comments_allowed(self):
         model, tree = parse_tree_file("# exhibit\ngbsplit\nA1\n", I9)
         assert tree == GbstNode(1)
+
+
+class TestAsciiMalformed:
+    """The shared ASCII builder rejects text no renderer writes."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "=A1 (20)",  # a comparison with no children
+            "<A2 (20)\n  y: A1 (20)",  # no n: child
+            "<A2 (20)\n  n: A2 (20)",  # no y: child
+            "<A2 (20)\ny: A1 (20)\nn: A2 (20)",  # unindented children
+            "<A2 (20)\n  y: A1 (20)\n    n: A2 (20)",  # a leaf with a child
+            "<A2 (20)\n  y: A1 (20)\n  y: A1 (20)\n  n: A2 (20)",  # repeated y:
+            "<A2 (20)\n  L: A1 (20)\n  n: A2 (20)",  # foreign marker
+            "A2 (20)\n  L: A1 (20)\n  L: B0 (20)",  # repeated L: drops no subtree
+            "A2 (20)\n  A1 (20)",  # missing marker
+            "A2 (20)\n    L: A1 (20)",  # two levels down
+            "L: A2 (20)",  # marked root
+            "  A2 (20)",  # indented root
+            "A2 (20)\nA1 (20)",  # two roots
+            "ZZ (1)",  # unknown label
+        ],
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_ascii(text, I9)
+
+    def test_lone_left_and_right_children(self):
+        assert parse_ascii("A2 (20)\n  R: A1 (20)", I9) == GbstNode(2, right=GbstNode(1))
+        assert parse_ascii("A2 (20)\n  L: A1 (20)", I9) == GbstNode(2, left=GbstNode(1))
+
+    def test_error_names_the_line(self):
+        with pytest.raises(ParseError, match="line 3"):
+            parse_ascii("A2 (20)\n  L: A1 (20)\n  L: B0 (20)", I9)
