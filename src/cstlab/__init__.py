@@ -21,14 +21,11 @@ from .model import (
     TwcstTree,
     Verdict,
     check_order_property,
-    gbst_cost,
-    gbst_validate,
-    gbst_weight,
     parse_instance,
     replace_subtree,
-    twcst_cost,
-    twcst_validate,
-    twcst_weight,
+    tree_cost,
+    tree_weight,
+    validate,
 )
 from .oracle import (
     BACKEND,

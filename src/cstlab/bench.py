@@ -31,13 +31,10 @@ from .model import (
     GbstNode,
     Instance,
     Interval,
-    gbst_cost,
-    gbst_validate,
-    gbst_weight,
     replace_subtree,
-    twcst_cost,
-    twcst_validate,
-    twcst_weight,
+    tree_cost,
+    tree_weight,
+    validate,
 )
 from .oracle import (
     GbstOracle,
@@ -254,62 +251,54 @@ def fig2_context(top: int, mid: int, subtree: GbstNode) -> GbstNode:
 # Verification procedures
 # ---------------------------------------------------------------------------
 
+def _tree_checks(
+    name: str, tree, inst: Instance, holes: tuple[int, ...], cost: int, weight: int | None
+) -> list[Check]:
+    """*name*.cost, then *name*.weight unless *weight* is None, then
+    *name*.valid for (the full interval, *holes*), for a tree of either
+    family."""
+    checks = [Check(f"{name}.cost", cost, tree_cost(tree, inst))]
+    if weight is not None:
+        checks.append(Check(f"{name}.weight", weight, tree_weight(tree, inst)))
+    verdict = validate(tree, inst.full_interval(), holes, inst)
+    checks.append(Check(f"{name}.valid", 1, int(bool(verdict))))
+    return checks
+
+
 def verify_figures() -> Report:
     """Reproduce every figure tree's cost, weight, and validity."""
     checks: list[Check] = []
-    add = checks.append
+    add, extend = checks.append, checks.extend
 
     fig1 = build_instance("fig1").instance
-    t1 = exhibit("fig1", fig1)
-    add(Check("fig1.tree.cost", 20, gbst_cost(t1, fig1)))
-    add(Check("fig1.tree.valid", 1, int(bool(gbst_validate(t1, fig1.full_interval(), (), fig1)))))
+    extend(_tree_checks("fig1.tree", exhibit("fig1", fig1), fig1, (), 20, None))
 
     i9 = build_instance("I9").instance
-    iv9 = i9.full_interval()
     t2a, t2b = exhibit("fig2_a", i9), exhibit("fig2_b", i9)
-    add(Check("fig2.T_a.cost", 209, gbst_cost(t2a, i9)))
-    add(Check("fig2.T_a.weight", 97, gbst_weight(t2a, i9)))
-    add(Check("fig2.T_a.valid", 1, int(bool(gbst_validate(t2a, iv9, (3, 5), i9)))))
-    add(Check("fig2.T_b.cost", 210, gbst_cost(t2b, i9)))
-    add(Check("fig2.T_b.weight", 95, gbst_weight(t2b, i9)))
-    add(Check("fig2.T_b.valid", 1, int(bool(gbst_validate(t2b, iv9, (3, 8), i9)))))
-    add(Check("fig2.weight_delta", 2, gbst_weight(t2a, i9) - gbst_weight(t2b, i9)))
+    extend(_tree_checks("fig2.T_a", t2a, i9, (3, 5), 209, 97))
+    extend(_tree_checks("fig2.T_b", t2b, i9, (3, 8), 210, 95))
+    add(Check("fig2.weight_delta", 2, tree_weight(t2a, i9) - tree_weight(t2b, i9)))
 
     # The exchange: T_a under grandparent B4 and parent A3 costs 463; putting
     # T_b there instead (ancestors re-keyed to D1 and A3) costs 462.
     ctx_a = fig2_context(5, 3, t2a)
     ctx_b = fig2_context(8, 3, t2b)
-    add(Check("fig2.context_a.cost", 463, gbst_cost(ctx_a, i9)))
-    add(Check("fig2.context_a.valid", 1, int(bool(gbst_validate(ctx_a, iv9, (), i9)))))
-    add(Check("fig2.context_b.cost", 462, gbst_cost(ctx_b, i9)))
-    add(Check("fig2.context_b.valid", 1, int(bool(gbst_validate(ctx_b, iv9, (), i9)))))
-    add(Check("fig2.replacement.delta", -1, gbst_cost(ctx_b, i9) - gbst_cost(ctx_a, i9)))
+    extend(_tree_checks("fig2.context_a", ctx_a, i9, (), 463, None))
+    extend(_tree_checks("fig2.context_b", ctx_b, i9, (), 462, None))
+    add(Check("fig2.replacement.delta", -1, tree_cost(ctx_b, i9) - tree_cost(ctx_a, i9)))
     swapped = dataclasses.replace(replace_subtree(ctx_a, "RR", t2b), eq=8)
     add(Check("fig2.replacement.rekeyed_matches", 1, int(swapped == ctx_b)))
 
     i8 = build_instance("I8").instance
-    iv8 = i8.full_interval()
     t4a, t4b, t4c = exhibit("fig4_a", i8), exhibit("fig4_b", i8), exhibit("fig4_c", i8)
-    add(Check("fig4.T_a.cost", 49, twcst_cost(t4a, i8)))
-    add(Check("fig4.T_a.weight", 22, twcst_weight(t4a, i8)))
-    add(Check("fig4.T_a.valid", 1, int(bool(twcst_validate(t4a, iv8, (8,), i8)))))
-    add(Check("fig4.T_b.cost", 50, twcst_cost(t4b, i8)))
-    add(Check("fig4.T_b.weight", 20, twcst_weight(t4b, i8)))
-    add(Check("fig4.T_b.valid", 1, int(bool(twcst_validate(t4b, iv8, (1,), i8)))))
-    add(Check("fig4.T_c.cost", 50, twcst_cost(t4c, i8)))
-    add(Check("fig4.T_c.weight", 20, twcst_weight(t4c, i8)))
-    add(Check("fig4.T_c.valid", 1, int(bool(twcst_validate(t4c, iv8, (1,), i8)))))
+    extend(_tree_checks("fig4.T_a", t4a, i8, (8,), 49, 22))
+    extend(_tree_checks("fig4.T_b", t4b, i8, (1,), 50, 20))
+    extend(_tree_checks("fig4.T_c", t4c, i8, (1,), 50, 20))
     add(Check("fig4.T_b_distinct_from_T_c", 1, int(t4b != t4c)))
 
     i10 = _prefix_instance(10)
-    iv10 = i10.full_interval()
-    t5a, t5b = exhibit("fig5_a", i10), exhibit("fig5_b", i10)
-    add(Check("fig5.T_a.cost", 69, twcst_cost(t5a, i10)))
-    add(Check("fig5.T_a.weight", 27, twcst_weight(t5a, i10)))
-    add(Check("fig5.T_a.valid", 1, int(bool(twcst_validate(t5a, iv10, (10,), i10)))))
-    add(Check("fig5.T_b.cost", 70, twcst_cost(t5b, i10)))
-    add(Check("fig5.T_b.weight", 25, twcst_weight(t5b, i10)))
-    add(Check("fig5.T_b.valid", 1, int(bool(twcst_validate(t5b, iv10, (1,), i10)))))
+    extend(_tree_checks("fig5.T_a", exhibit("fig5_a", i10), i10, (10,), 69, 27))
+    extend(_tree_checks("fig5.T_b", exhibit("fig5_b", i10), i10, (1,), 70, 25))
 
     return Report(tuple(checks))
 
@@ -325,8 +314,7 @@ def verify_theorem1() -> Report:
     add(Check("thm1.hw.cost", 1763, hw_cost))
 
     witness = exhibit("fig3", i31)
-    add(Check("thm1.witness.cost", 1762, gbst_cost(witness, i31)))
-    add(Check("thm1.witness.valid", 1, int(bool(gbst_validate(witness, full, (), i31)))))
+    checks.extend(_tree_checks("thm1.witness", witness, i31, (), 1762, None))
     add(Check("thm1.placement", 1757, placement_lower_bound(i31)))
 
     oracle = GbstOracle(i31)
@@ -338,7 +326,7 @@ def verify_theorem1() -> Report:
     add(Check("thm1.block1.opt", 220, oracle.opt_cost(Interval(10, 16))))
     add(Check("thm1.block2.opt", 660, oracle.opt_cost(Interval(17, 31))))
 
-    add(Check("thm1.nonoptimal", 1, int(hw_cost > gbst_cost(witness, i31))))
+    add(Check("thm1.nonoptimal", 1, int(hw_cost > tree_cost(witness, i31))))
     return Report(tuple(checks))
 
 
@@ -354,11 +342,8 @@ def verify_theorem2() -> Report:
     oracle = TwcstOracle(i15)
     cost, tree, holes = oracle.opt_star(full, 2)
     add(Check("thm2.oracle.cost", 115, cost))
-    add(Check("thm2.oracle.valid", 1, int(bool(twcst_validate(tree, full, holes, i15)))))
-
-    witness = exhibit("fig6", i15)
-    add(Check("thm2.witness.cost", 115, twcst_cost(witness, i15)))
-    add(Check("thm2.witness.valid", 1, int(bool(twcst_validate(witness, full, (1, 15), i15)))))
+    add(Check("thm2.oracle.valid", 1, int(bool(validate(tree, full, holes, i15)))))
+    checks.extend(_tree_checks("thm2.witness", exhibit("fig6", i15), i15, (1, 15), 115, None))
 
     bad_cells = audit_subproblems(TWCST, i15)
     add(Check("thm2.bad_cell.exists", 1, int(len(bad_cells) >= 1)))
@@ -391,7 +376,7 @@ def verify_depth_lemma(m_max: int = 6, trials: int = 40, seed: int = 1) -> Repor
             cost, tree, _ = oracle.opt_star(inst.full_interval(), holes)
             tag = f"lemmaT{target}.I{length}.h{holes}"
             add(Check(f"{tag}.cost", cost_w[0], cost))
-            add(Check(f"{tag}.weight", cost_w[1], twcst_weight(tree, inst)))
+            add(Check(f"{tag}.weight", cost_w[1], tree_weight(tree, inst)))
 
     violations = 0
     for t in range(trials):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .hw import HwTable
 from .model import (
@@ -23,10 +23,8 @@ from .model import (
     TWCST,
     DpTable,
     Instance,
-    gbst_cost,
-    gbst_validate,
-    twcst_cost,
-    twcst_validate,
+    tree_cost,
+    validate,
 )
 from .oracle import ExactOracle, GbstOracle, SizeLimitError, TwcstOracle
 from .spuler import SpulerTable
@@ -49,19 +47,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Model:
-    """One tree family: its flawed DP, the exact oracle that audits it, and
-    its tree checks.  ``dp`` is the DP's name on the command line."""
+    """One tree family: its flawed DP and the exact oracle that audits it.
+    ``dp`` is the DP's name on the command line."""
 
     dp: str
     table: type[DpTable]
     oracle: type[ExactOracle]
-    validate: Callable
-    cost: Callable
 
 
 MODELS = {
-    GBSPLIT: Model("hw", HwTable, GbstOracle, gbst_validate, gbst_cost),
-    TWCST: Model("spuler", SpulerTable, TwcstOracle, twcst_validate, twcst_cost),
+    GBSPLIT: Model("hw", HwTable, GbstOracle),
+    TWCST: Model("spuler", SpulerTable, TwcstOracle),
 }
 
 
@@ -69,19 +65,19 @@ class FeasibilityError(AssertionError):
     """A flawed-DP cost fell below the exact optimum: an artifact bug."""
 
 
-def random_instance(
-    n: int, wmax: int, seed: int, zero_weight_prob: float = 0.25
-) -> Instance:
-    """Deterministic random instance: n keys, weights in 0..wmax.
+# Probability mass a random weight puts on zero on top of the uniform draw;
+# both known counterexamples hinge on zero- and low-weight keys.
+ZERO_WEIGHT_PROB = 0.25
 
-    Zero weights get dedicated probability mass on top of the uniform draw;
-    both known counterexamples hinge on zero- and low-weight keys.
-    """
+
+def random_instance(n: int, wmax: int, seed: int) -> Instance:
+    """Deterministic random instance: n keys, weights in 0..wmax, zero with
+    extra probability ``ZERO_WEIGHT_PROB``."""
     if n < 1 or wmax < 1:
         raise ValueError("need n >= 1 and wmax >= 1")
     rng = random.Random(1_000_003 * (1_000_003 * n + wmax) + seed)
     weights = tuple(
-        0 if rng.random() < zero_weight_prob else rng.randint(0, wmax)
+        0 if rng.random() < ZERO_WEIGHT_PROB else rng.randint(0, wmax)
         for _ in range(n)
     )
     labels = tuple(f"K{k:03d}" for k in range(1, n + 1))
@@ -246,12 +242,11 @@ def audit_subproblems(
 def _witness_check(
     model: str, inst: Instance, witness, trial: int, name: str
 ) -> Discrepancy | None:
-    spec = MODELS[model]
-    verdict = spec.validate(witness, inst.full_interval(), (), inst)
+    verdict = validate(witness, inst.full_interval(), (), inst)
     if not verdict:
         raise ValueError(f"witness tree for {name} invalid: {verdict.violations}")
-    flawed = spec.table(inst).cost(1, inst.n, 0)
-    reference = spec.cost(witness, inst)
+    flawed = MODELS[model].table(inst).cost(1, inst.n, 0)
+    reference = tree_cost(witness, inst)
     if flawed > reference:
         return Discrepancy(
             instance=inst,

@@ -11,7 +11,11 @@ weights.  Two tree families search such instances:
   at leaves.
 
 Costs count one unit per node visited (GBST) or per comparison (2WCST),
-weighted by key weight.  All weights and costs are exact integers.  Every
+weighted by key weight.  All weights and costs are exact integers.
+:func:`validate`, :func:`tree_cost` and :func:`tree_weight` take a tree of
+either family and read it through one walk, which lists each placed key
+with its charge and checks the key's own search against the routing bounds
+carried down the tree, so validation is O(nodes).  Every
 value here is immutable after construction and all operations are pure, so
 everything can be shared freely across threads.
 """
@@ -42,14 +46,14 @@ __all__ = [
     "Verdict",
     "parse_instance",
     "format_instance",
+    "validate",
+    "tree_cost",
+    "tree_weight",
     "gbst_cost",
     "gbst_weight",
     "gbst_join",
-    "gbst_nodes",
     "twcst_cost",
     "twcst_weight",
-    "twcst_leaf_keys",
-    "twcst_leaf_depths",
     "gbst_validate",
     "twcst_validate",
     "check_order_property",
@@ -73,6 +77,9 @@ class ParseError(ValueError):
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _DIGIT_RUN = re.compile(r"(\d+)")
+# An instance-file weight: ASCII digits, so that format_instance writes the
+# text back; a leading minus is matched only to name it in the error.
+_WEIGHT_RE = re.compile(r"(-?)[0-9]+\Z")
 
 
 def natural_key(label: str) -> tuple:
@@ -232,8 +239,9 @@ class Interval:
 def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
-    One ``<label> <integer-weight>`` pair per line, ``#`` starts a comment,
-    blank lines are ignored.  Keys must be listed in ascending label order.
+    One ``<label> <weight>`` pair per line, the weight in ASCII decimal
+    digits; ``#`` starts a comment, blank lines are ignored.  Keys must be
+    listed in ascending label order.
     """
     labels: list[str] = []
     weights: list[int] = []
@@ -249,12 +257,12 @@ def parse_instance(text: str) -> Instance:
         label, weight_text = parts
         if not _LABEL_RE.match(label):
             raise ParseError(f"bad label {label!r}", lineno)
-        try:
-            weight = int(weight_text)
-        except ValueError:
-            raise ParseError(f"non-integer weight {weight_text!r}", lineno) from None
-        if weight < 0:
-            raise ParseError(f"negative weight {weight}", lineno)
+        sign = _WEIGHT_RE.match(weight_text)
+        if sign is None:
+            raise ParseError(f"non-integer weight {weight_text!r}", lineno)
+        if sign[1]:
+            raise ParseError(f"negative weight {weight_text}", lineno)
+        weight = int(weight_text)
         key = natural_key(label)
         if prev_key is not None:
             if key == prev_key or label in seen:
@@ -302,20 +310,6 @@ class GbstNode:
 GbstTree = Optional[GbstNode]
 
 
-def gbst_nodes(tree: GbstTree) -> Iterator[GbstNode]:
-    """Canonical preorder traversal (node, left, right)."""
-    if tree is None:
-        return
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-
-
 def gbst_join(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNode:
     """Node with equality key e over the trees of [i, s-1] and [s, j].
 
@@ -329,37 +323,6 @@ def gbst_join(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNo
     if left is None:
         return GbstNode(e, split=i, right=right)
     return GbstNode(e, split=s, left=left, right=right)
-
-
-def _gbst_cost_weight(tree: GbstTree, inst: Instance) -> tuple[int, int]:
-    """(cost, weight) by the closed form: a node at depth d adds
-    weight(eq) * (d + 1) to the cost.  Iterative, for trees of any depth."""
-    cost = weight = 0
-    stack = [(tree, 1)] if tree is not None else []
-    while stack:
-        node, level = stack.pop()
-        if not 1 <= node.eq <= inst.n:
-            raise ValueError(f"equality key {node.eq} out of range 1..{inst.n}")
-        w = inst.weight(node.eq)
-        weight += w
-        cost += w * level
-        if node.right is not None:
-            stack.append((node.right, level + 1))
-        if node.left is not None:
-            stack.append((node.left, level + 1))
-    return cost, weight
-
-
-def gbst_cost(tree: GbstTree, inst: Instance) -> int:
-    """Sum over nodes of weight(eq) * (depth + 1); the empty tree costs 0.
-
-    Equivalently cost(T) = weight(T) + cost(left) + cost(right).
-    """
-    return _gbst_cost_weight(tree, inst)[0]
-
-
-def gbst_weight(tree: GbstTree, inst: Instance) -> int:
-    return _gbst_cost_weight(tree, inst)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -392,61 +355,6 @@ class Cmp:
 TwcstTree = Union[Leaf, Cmp]
 
 
-def twcst_leaf_depths(tree: TwcstTree) -> dict[int, int]:
-    """Map leaf key -> number of comparisons on its root-to-leaf path."""
-    depths: dict[int, int] = {}
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            depths[node.key] = depth
-        else:
-            stack.append((node.yes, depth + 1))
-            stack.append((node.no, depth + 1))
-    return depths
-
-
-def twcst_leaf_keys(tree: TwcstTree) -> tuple[int, ...]:
-    keys = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            keys.append(node.key)
-        else:
-            stack.append(node.yes)
-            stack.append(node.no)
-    return tuple(sorted(keys))
-
-
-def _twcst_cost_weight(tree: TwcstTree, inst: Instance) -> tuple[int, int]:
-    """(cost, weight) by the closed form: a leaf below d comparisons adds
-    weight * d to the cost.  Iterative, for trees of any depth."""
-    cost = weight = 0
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, Leaf):
-            if not 1 <= node.key <= inst.n:
-                raise ValueError(f"leaf key {node.key} out of range 1..{inst.n}")
-            w = inst.weight(node.key)
-            weight += w
-            cost += w * depth
-        else:
-            stack.append((node.no, depth + 1))
-            stack.append((node.yes, depth + 1))
-    return cost, weight
-
-
-def twcst_cost(tree: TwcstTree, inst: Instance) -> int:
-    """Sum over leaves of weight * comparisons-on-path; a lone Leaf costs 0."""
-    return _twcst_cost_weight(tree, inst)[0]
-
-
-def twcst_weight(tree: TwcstTree, inst: Instance) -> int:
-    return _twcst_cost_weight(tree, inst)[1]
-
-
 # ---------------------------------------------------------------------------
 # Validity checking
 # ---------------------------------------------------------------------------
@@ -466,78 +374,143 @@ class Verdict:
         return Verdict(not violations, tuple(violations))
 
 
-def _key_violations(
-    placed: Iterable[int], interval: Interval, holes: Iterable[int], n: int, kind: str
-) -> tuple[set[int], list[str]]:
-    """The keys of (interval, holes), and how the keys *placed* in a tree
-    differ from them: duplicated, unexpected or missing."""
-    interval.validate_for(n)
-    holes = set(holes)
-    if not holes <= set(interval.keys()):
-        raise ValueError("hole set must be contained in the interval")
-    expected = set(interval.keys()) - holes
-    violations: list[str] = []
-    seen: set[int] = set()
-    for k in placed:
-        if k in seen:
-            violations.append(f"duplicate {kind} key {k}")
-        seen.add(k)
-    for k in sorted(seen - expected):
-        violations.append(f"unexpected {kind} key {k}")
-    for k in sorted(expected - seen):
-        violations.append(f"missing {kind} key {k}")
-    return expected, violations
+_INF = float("inf")
 
 
-def gbst_validate(
-    tree: GbstTree, interval: Interval, holes: Iterable[int], inst: Instance
-) -> Verdict:
-    """Check that *tree* solves subproblem (interval, holes).
+def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
+    """Every key *tree* places, with its charge and where its search ends.
 
-    Valid iff the equality keys are exactly interval minus holes and the
-    simulated search for every such key (halt on equality, else branch on
-    the split key) ends at that key's node.  Split-key routing is checked
-    behaviorally; any separating value is acceptable.
+    A placed key is a GBST node's equality key, charged depth + 1, or a
+    2WCST leaf key, charged the comparisons above it.  The third entry is
+    None when the search for the key ends where the key sits; otherwise it
+    ends a violation line: ``stuck at node X (no split key)`` when the
+    search reaches X, the key's first split-less GBST ancestor, else
+    ``does not reach its node`` (or ``its leaf``).
+
+    One pass, O(nodes), on an explicit stack for trees of any depth.  Each
+    entry carries the routing bounds [lo, hi) of the values that reach it:
+    a split or ``<`` test narrows them, an ``=`` test's yes branch narrows
+    them to its key, and its no branch excludes the key (as a GBST node's
+    children exclude its equality key) until the walk leaves the branch.
+    Below a split-less GBST node the bounds stay at that node's.  A node
+    not of the root's family raises TypeError.
     """
-    eqs = (node.eq for node in gbst_nodes(tree))
-    expected, violations = _key_violations(eqs, interval, holes, inst.n, "equality")
-    if violations:
-        return Verdict.failures(violations)
-
-    for v in sorted(expected):
-        node = tree
-        while node is not None:
-            if node.eq == v:
-                break
-            if node.split is None:
-                violations.append(f"search for {v} stuck at node {node.eq} (no split key)")
-                node = None
-                break
-            node = node.left if v < node.split else node.right
-        else:
-            violations.append(f"search for {v} fell off the tree")
-    return Verdict.failures(violations)
-
-
-def twcst_validate(
-    tree: TwcstTree, interval: Interval, holes: Iterable[int], inst: Instance
-) -> Verdict:
-    """Check that *tree* resolves every non-hole key of the interval at its leaf."""
-    leaves = twcst_leaf_keys(tree)
-    expected, violations = _key_violations(leaves, interval, holes, inst.n, "leaf")
-    if violations:
-        return Verdict.failures(violations)
-
-    for v in sorted(expected):
-        node = tree
-        while isinstance(node, Cmp):
-            if node.op == EQ:
-                node = node.yes if v == node.key else node.no
+    if tree is None:
+        return []
+    gbst = type(tree) is GbstNode
+    placed = []
+    excluded: set[int] = set()
+    # Entries are (node, charge, lo, hi, first split-less GBST ancestor),
+    # or a bare key to drop from *excluded* once its branch is done.
+    stack: list = [(tree, 1 if gbst else 0, -_INF, _INF, None)]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is int:
+            excluded.discard(entry)
+            continue
+        node, charge, lo, hi, stuck = entry
+        kind = type(node)
+        if kind is GbstNode and gbst:
+            key, left, right, split = node.eq, node.left, node.right, node.split
+            if not (lo <= key < hi and key not in excluded):
+                placed.append((key, charge, "does not reach its node"))
+            elif stuck is not None:
+                placed.append((key, charge, f"stuck at node {stuck} (no split key)"))
             else:
-                node = node.yes if v < node.key else node.no
-        if node.key != v:
-            violations.append(f"search for {v} ends at leaf {node.key}")
+                placed.append((key, charge, None))
+            if left is None and right is None:
+                continue
+            if key not in excluded:
+                excluded.add(key)
+                stack.append(key)
+            if stuck is None and split is None:
+                stuck = key
+            charge += 1
+            if right is not None:
+                stack.append((right, charge, lo if stuck is not None else max(lo, split), hi, stuck))
+            if left is not None:
+                stack.append((left, charge, lo, hi if stuck is not None else min(hi, split), stuck))
+        elif kind is Cmp and not gbst:
+            key, charge = node.key, charge + 1
+            if node.op == LT:
+                stack.append((node.no, charge, max(lo, key), hi, None))
+                stack.append((node.yes, charge, lo, min(hi, key), None))
+            else:
+                stack.append((node.yes, charge, max(lo, key), min(hi, key + 1), None))
+                if key not in excluded:
+                    excluded.add(key)
+                    stack.append(key)
+                stack.append((node.no, charge, lo, hi, None))
+        elif kind is Leaf and not gbst:
+            key = node.key
+            reached = lo <= key < hi and key not in excluded
+            placed.append((key, charge, None if reached else "does not reach its leaf"))
+        else:
+            raise TypeError(f"{node!r} is not a {GBSPLIT if gbst else TWCST} tree node")
+    return placed
+
+
+def _verdict(tree, placed, interval: Interval, holes: Iterable[int], n: int) -> Verdict:
+    """The verdict on *tree*, whose walk is *placed*, for (interval, holes)."""
+    interval.validate_for(n)
+    expected = set(interval.keys())
+    holes = set(holes)
+    if not holes <= expected:
+        raise ValueError("hole set must be contained in the interval")
+    expected -= holes
+    keys = [key for key, _, _ in placed]
+    seen = set(keys)
+    if len(seen) == len(keys) and seen == expected:
+        misses = sorted((key, miss) for key, _, miss in placed if miss)
+        return Verdict.failures([f"search for {key} {miss}" for key, miss in misses])
+    kind = "leaf" if isinstance(tree, (Leaf, Cmp)) else "equality"
+    keys.sort()
+    violations = [f"duplicate {kind} key {a}" for a, b in zip(keys, keys[1:]) if a == b]
+    violations += [f"unexpected {kind} key {k}" for k in sorted(seen - expected)]
+    violations += [f"missing {kind} key {k}" for k in sorted(expected - seen)]
     return Verdict.failures(violations)
+
+
+def validate(tree, interval: Interval, holes: Iterable[int], inst: Instance) -> Verdict:
+    """Check that *tree*, of either family, solves subproblem (interval, holes).
+
+    Valid iff the placed keys are exactly the interval minus the holes, each
+    once, and the search for each ends where it sits (a GBST search halts on
+    an equality match and otherwise branches on ``query < split``).  Split
+    keys are checked behaviorally: any separating value is acceptable.  A
+    tree whose key set is wrong gets only the key-set violations.
+    """
+    return _verdict(tree, _walk(tree), interval, holes, inst.n)
+
+
+def _cost_weight(tree, inst: Instance) -> tuple[int, int]:
+    n, weights = inst.n, inst.weights
+    cost = weight = 0
+    for key, charge, _ in _walk(tree):
+        if not 1 <= key <= n:
+            raise ValueError(f"key {key} out of range 1..{n}")
+        w = weights[key - 1]
+        weight += w
+        cost += w * charge
+    return cost, weight
+
+
+def tree_cost(tree, inst: Instance) -> int:
+    """Sum over placed keys of weight * charge: for a GBST, weight(eq) *
+    (depth + 1) per node, so the empty tree costs 0; for a 2WCST, weight *
+    comparisons per leaf, so a lone Leaf costs 0."""
+    return _cost_weight(tree, inst)[0]
+
+
+def tree_weight(tree, inst: Instance) -> int:
+    """Total weight of the keys *tree* places."""
+    return _cost_weight(tree, inst)[1]
+
+
+# The family-named spellings of the three functions above.
+gbst_cost = twcst_cost = tree_cost
+gbst_weight = twcst_weight = tree_weight
+gbst_validate = twcst_validate = validate
 
 
 def check_order_property(tree: GbstTree) -> Verdict:

@@ -39,8 +39,8 @@ from .model import (
     check_hole_count,
     gbst_join,
     mask_of,
-    twcst_leaf_depths,
-    twcst_weight,
+    tree_weight,
+    _walk,
 )
 
 __all__ = [
@@ -452,16 +452,23 @@ def placement_lower_bound(inst: Instance) -> int:
 @dataclass(frozen=True)
 class DepthSeq:
     """Lower bounds on total leaf depth: d for separated query sets of size
-    m, e for nearly separated ones.  Entry index 0 holds m = 1."""
+    m, e for nearly separated ones.  Entry index 0 holds m = 1; ``d_at`` and
+    ``e_at`` raise ValueError for m outside 1..len."""
 
     d: tuple[int, ...]
     e: tuple[int, ...]
 
     def d_at(self, m: int) -> int:
-        return self.d[m - 1]
+        return self._at(self.d, m)
 
     def e_at(self, m: int) -> int:
-        return self.e[m - 1]
+        return self._at(self.e, m)
+
+    @staticmethod
+    def _at(seq: tuple[int, ...], m: int) -> int:
+        if not 1 <= m <= len(seq):
+            raise ValueError(f"m = {m} out of range 1..{len(seq)}")
+        return seq[m - 1]
 
 
 def depth_seq(m_max: int) -> DepthSeq:
@@ -519,8 +526,11 @@ def depth_bound_violations(
 
     Separated subsets must have total leaf depth >= d_m, nearly separated
     ones >= e_m.  Returns human-readable violations (empty when all hold).
+    Raises ValueError when *seqs* is shorter than m_max.
     """
-    depths = twcst_leaf_depths(tree)
+    if m_max > min(len(seqs.d), len(seqs.e)):
+        raise ValueError(f"m_max {m_max} exceeds the depth sequences' length")
+    depths = {key: charge for key, charge, _ in _walk(tree)}
     queries = sorted(depths)
     between = _between_counter(queries)
     violations = []
@@ -545,6 +555,5 @@ def eq_root_weight_ok(tree: TwcstTree, inst: Instance) -> bool:
     weight at most four times the maximum query weight."""
     if not (isinstance(tree, Cmp) and tree.op == EQ):
         return True
-    depths = twcst_leaf_depths(tree)
-    max_w = max(inst.weight(k) for k in depths)
-    return twcst_weight(tree, inst) <= 4 * max_w
+    total = tree_weight(tree, inst)
+    return total <= 4 * max(inst.weight(key) for key, _, _ in _walk(tree))

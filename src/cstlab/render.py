@@ -6,7 +6,9 @@ per node, split keys omitted, children marked ``L:``/``R:`` (GBST) or
 
 Tree files are parenthesized preorder text with a leading model tag; see
 the README for the grammar.  Each format has one walk for both families,
-one interpreter frame per tree level.
+one interpreter frame per tree level.  Before it renders, ``render_tree``
+checks the tree against its own key span from one walk of the model's
+family-free validator.
 """
 from __future__ import annotations
 
@@ -24,10 +26,8 @@ from .model import (
     Interval,
     Leaf,
     ParseError,
-    gbst_nodes,
-    gbst_validate,
-    twcst_leaf_keys,
-    twcst_validate,
+    _verdict,
+    _walk,
 )
 
 __all__ = ["InvalidTreeError", "render_tree", "parse_ascii", "parse_tree_file",
@@ -46,10 +46,11 @@ class InvalidTreeError(ValueError):
 
 def derive_subproblem(tree, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
     """Span interval and hole set implied by a standalone tree."""
-    if isinstance(tree, (Leaf, Cmp)):
-        keys = set(twcst_leaf_keys(tree))
-    else:
-        keys = {node.eq for node in gbst_nodes(tree)}
+    return _span(_walk(tree), inst)
+
+
+def _span(placed, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
+    keys = {key for key, _, _ in placed}
     if not keys:
         raise InvalidTreeError("cannot render an empty tree")
     if not all(1 <= k <= inst.n for k in keys):
@@ -63,9 +64,8 @@ def render_tree(tree, fmt: str, inst: Instance) -> str:
     """Render a valid GBST or 2WCST tree; rejects invalid trees."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    interval, holes = derive_subproblem(tree, inst)
-    validate = twcst_validate if isinstance(tree, (Leaf, Cmp)) else gbst_validate
-    verdict = validate(tree, interval, holes, inst)
+    placed = _walk(tree)
+    verdict = _verdict(tree, placed, *_span(placed, inst), inst.n)
     if not verdict:
         raise InvalidTreeError("; ".join(verdict.violations))
     if fmt == "dot":

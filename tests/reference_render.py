@@ -24,11 +24,8 @@ from cstlab.model import (
     Leaf,
     ParseError,
     TwcstTree,
-    gbst_nodes,
-    gbst_validate,
-    twcst_leaf_keys,
-    twcst_validate,
 )
+from reference_model import gbst_nodes, gbst_validate, twcst_leaf_keys, twcst_validate
 
 __all__ = [
     "InvalidTreeError",

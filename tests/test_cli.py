@@ -132,6 +132,14 @@ class TestSolve:
         rc = main(["solve", "--model", "gbsplit", "--alg", "hw", "--instance", str(bad)])
         assert rc == 3
 
+    @pytest.mark.parametrize("weight", ["1_000", "+5", "\u0663", "\uff13"])
+    def test_non_ascii_digit_weight_exit_3(self, weight, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"A {weight}\n", encoding="utf-8")
+        rc = main(["solve", "--model", "gbsplit", "--alg", "hw", "--instance", str(bad)])
+        assert rc == 3
+        assert "non-integer weight" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self):
         rc = main(
             ["solve", "--model", "gbsplit", "--alg", "hw", "--instance", "/nonexistent"]

@@ -33,17 +33,6 @@ class TestRandomInstance:
             assert inst.n == 6
             assert all(0 <= w <= 16 for w in inst.weights)
 
-    def test_zero_mass_configurable(self):
-        heavy_zero = sum(
-            random_instance(8, 16, s, zero_weight_prob=0.9).weights.count(0)
-            for s in range(50)
-        )
-        light_zero = sum(
-            random_instance(8, 16, s, zero_weight_prob=0.0).weights.count(0)
-            for s in range(50)
-        )
-        assert heavy_zero > light_zero
-
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             random_instance(0, 10, 1)

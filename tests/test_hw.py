@@ -52,7 +52,8 @@ class TestHwTable:
         assert table.cost(1, 9, 2) == 209
 
     def test_every_cell_tree_valid(self):
-        from cstlab.model import check_order_property, gbst_nodes
+        from cstlab.model import check_order_property
+        from reference_model import gbst_nodes
 
         for seed in range(6):
             inst = random_instance(2 + seed, 12, 600 + seed)

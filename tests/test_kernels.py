@@ -174,11 +174,11 @@ class TestReachableStates:
     these counts pin that, zero-weight pruning included."""
 
     def test_twcst(self):
-        oracle = TwcstOracle(random_instance(18, 1000, 7, 0.25))
+        oracle = TwcstOracle(random_instance(18, 1000, 7))
         oracle.opt_cost(oracle.inst.full_interval())
         assert len(oracle._memo) == 5292
 
     def test_gbst(self):
-        oracle = GbstOracle(random_instance(12, 1000, 7, 0.25))
+        oracle = GbstOracle(random_instance(12, 1000, 7))
         oracle.opt_cost(oracle.inst.full_interval())
         assert (len(oracle._memo), len(oracle._g_memo)) == (4096, 4095)

@@ -1,4 +1,6 @@
 """Core model: parsing, cost evaluators, validity, order property, surgery."""
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +90,15 @@ class TestParseInstance:
     def test_non_integer_weight(self):
         with pytest.raises(ParseError, match="non-integer"):
             parse_instance("A 1.5")
+
+    @pytest.mark.parametrize("weight", ["1_000", "+5", "\u0663", "\uff13", "-"])
+    def test_weight_must_be_ascii_digits(self, weight):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: non-integer weight {weight!r}")):
+            parse_instance(f"A 1\nB {weight}\n")
+
+    def test_negative_weight_named_as_written(self):
+        with pytest.raises(ParseError, match="line 1: negative weight -0"):
+            parse_instance("A -0")
 
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -373,7 +384,7 @@ class TestInstanceInvariants:
         assert I9.range_weight(4, 3) == 0
 
     def test_every_valid_tree_has_order_property_and_node_count(self):
-        from cstlab.model import gbst_nodes
+        from reference_model import gbst_nodes
 
         # Spot-check with the 209-tree: 7 nodes for 9 keys minus 2 holes.
         tree = t2a()

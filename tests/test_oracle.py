@@ -306,6 +306,13 @@ class TestDepthSeq:
         with pytest.raises(ValueError):
             depth_seq(0)
 
+    @pytest.mark.parametrize("m", [0, -1, 7])
+    def test_lookup_outside_the_sequence_raises(self, m):
+        seqs = depth_seq(6)
+        for at in (seqs.d_at, seqs.e_at):
+            with pytest.raises(ValueError, match="out of range 1..6"):
+                at(m)
+
 
 class TestDepthBounds:
     def test_optimal_trees_meet_bounds(self):
@@ -340,6 +347,16 @@ class TestDepthBounds:
         tree = Cmp(LT, 2, yes=Leaf(1), no=Cmp(LT, 3, yes=Leaf(2), no=Leaf(3)))
         inflated = DepthSeq((0, 99, 99, 99, 99, 99), (0, 99, 99, 99, 99, 99))
         assert depth_bound_violations(tree, inflated, 6) != []
+
+    @pytest.mark.parametrize("leaves", [8, 14])
+    def test_m_max_beyond_the_sequences_is_rejected(self, leaves):
+        from cstlab.model import Cmp, Leaf, LT
+
+        tree = Leaf(leaves)
+        for k in range(leaves - 1, 0, -1):
+            tree = Cmp(LT, k + 1, yes=Leaf(k), no=tree)
+        with pytest.raises(ValueError, match="m_max 7"):
+            depth_bound_violations(tree, depth_seq(6), 7)
 
     def test_eq_root_weight_bound(self):
         for seed in range(30):

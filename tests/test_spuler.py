@@ -61,7 +61,7 @@ class TestSpulerTable:
     def test_eq_candidate_structure(self):
         # Wherever an equality root was chosen, its yes branch is the leaf
         # of that key and the key is absent from the no branch.
-        from cstlab.model import twcst_leaf_keys
+        from reference_model import twcst_leaf_keys
 
         table = SpulerTable(I15)
         for i, j, h in table.cells():
