@@ -189,14 +189,13 @@ def _audit(
     """Audit every table cell against the oracle; largest gap first.
 
     The oracle's opt* for every cell comes from one pass over the query
-    sets of the table's root interval (``star_rows``).  Instances beyond
-    the oracle limit are refused before the table fills.
+    sets of the whole instance (``star_rows``), taken before the table
+    fills, so that an instance beyond the oracle limit raises
+    SizeLimitError before any work.
     """
     spec = MODELS[model]
-    if inst.n > spec.oracle.limit:
-        raise SizeLimitError(inst.n, spec.oracle.limit)
+    rows = spec.oracle(inst).star_rows(inst.full_interval(), holes_max)
     table = spec.table(inst)
-    rows = spec.oracle(inst).star_rows(table.interval, holes_max)
     found: list[Discrepancy] = []
     checked = 0
     n = inst.n
@@ -277,18 +276,13 @@ def campaign(
     checked = 0
     trial = 0
 
-    limit = MODELS[cfg.model].oracle.limit
     for case in injected:
-        if case.instance.n <= limit:
+        try:
             found, inst_checked = _audit(cfg.model, case.instance, cfg.holes_max)
-            discrepancies.extend(
-                dataclasses.replace(d, trial=trial, name=case.name) for d in found
-            )
-            checked += inst_checked
-        else:
+        except SizeLimitError as exc:
             refusals.append(
-                f"trial {trial} ({case.name}): n={case.instance.n} exceeds oracle "
-                f"limit {limit}; witness comparison only"
+                f"trial {trial} ({case.name}): n={exc.size} exceeds oracle "
+                f"limit {exc.limit}; witness comparison only"
             )
             if case.witness_tree is not None:
                 hit = _witness_check(
@@ -297,6 +291,11 @@ def campaign(
                 if hit is not None:
                     discrepancies.append(hit)
             checked += 1
+        else:
+            discrepancies.extend(
+                dataclasses.replace(d, trial=trial, name=case.name) for d in found
+            )
+            checked += inst_checked
         trial += 1
 
     for _ in range(cfg.trials):

@@ -25,6 +25,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -128,7 +129,8 @@ def keys_of(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Instance:
-    """Ordered keys with nonnegative integer weights.
+    """Ordered keys with nonnegative integer weights, each a plain ``int``
+    (a float, string or bool is refused, not converted).
 
     Key identity is the 1-based index; labels are cosmetic but must be
     distinct and strictly ascending under natural ordering.
@@ -139,12 +141,14 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if len(self.labels) == 0:
             raise ValueError("instance must contain at least one key")
         if len(self.labels) != len(self.weights):
             raise ValueError("labels and weights must have equal length")
         for w in self.weights:
+            if type(w) is not int:
+                raise ValueError(f"weight {w!r} is not an int")
             if w < 0:
                 raise ValueError(f"negative weight {w}")
         prev = None
@@ -240,7 +244,7 @@ def parse_instance(text: str) -> Instance:
     """Parse the instance file format.
 
     One ``<label> <weight>`` pair per line, the weight in ASCII decimal
-    digits; ``#`` starts a comment, blank lines are ignored.  Keys must be
+    digits with no leading zero; ``#`` starts a comment, blank lines are ignored.  Keys must be
     listed in ascending label order.
     """
     labels: list[str] = []
@@ -262,6 +266,8 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"non-integer weight {weight_text!r}", lineno)
         if sign[1]:
             raise ParseError(f"negative weight {weight_text}", lineno)
+        if len(weight_text) > 1 and weight_text[0] == "0":
+            raise ParseError(f"leading zero in weight {weight_text!r}", lineno)
         weight = int(weight_text)
         key = natural_key(label)
         if prev_key is not None:
@@ -634,19 +640,70 @@ def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
         raise ValueError(f"hole count {h} out of range 0..{max_h}")
 
 
+def _split_gathers(length: int, min_queries: int) -> tuple[list, list]:
+    """Where the split candidates of an interval of *length* keys sit.
+
+    Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
+    keys has a row of ``size + 1 - min_queries`` entries.  The rows of the
+    left sides are concatenated in split order, and so are the rows of the
+    right sides.  Returns, per h, the positions in each concatenation of
+    the candidates (size_l, h1) with h1 + h2 = h + 1 - min_queries, splits
+    ascending and then h1 ascending; and, per left position, its
+    (size_l, h1).
+    """
+    m = min_queries
+    sizes = range(1, length)
+    # Slices of one list of positions, so that all gathers share its ints.
+    pos = list(range(sum(size + 1 - m for size in sizes)))
+    split_of = [(size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m)]
+    gathers = []
+    for h in range(length - m):
+        at_l: list[int] = []
+        at_r: list[int] = []
+        start_l = start_r = 0
+        for size_l in sizes:
+            size_r = length - size_l
+            a = max(0, h + 1 - size_r)
+            b = min(size_l, h + 1) + 1 - m
+            at_l += pos[start_l + a : start_l + b]
+            # h2 = h + 1 - m - h1 runs down from h + 1 - m - a to h + 2 - m - b.
+            at_r += reversed(pos[start_r + h + 2 - m - b : start_r + h + 2 - m - a])
+            start_l += size_l + 1 - m
+            start_r += size_r + 1 - m
+        gathers.append((at_l, at_r))
+    return gathers, split_of
+
+
 class DpTable:
     """Memo of a flawed (interval, hole count) DP over every (i, j, h)
     inside a root interval.
 
     A subproblem must keep ``min_queries`` keys, so h runs over
     0..|I| - min_queries.  ``_fill`` writes the table's one store:
-    ``_rows[(i, j)]`` holds four lists indexed by h, namely the cost, the
-    cost + weight, ``used_perm`` (the keys placed, as a permuted mask of
-    :class:`LeastWeightOrder`) and the backpointer (None at the base).  HW
-    also keeps rows for the empty intervals its splits read; the accessors
-    answer only the cells ``cells()`` lists.  No tree is stored: ``result``
+    ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, four
+    lists indexed by h, namely the cost, the cost + weight, ``used_perm``
+    (the keys placed, as a permuted mask of :class:`LeastWeightOrder`) and
+    the backpointer (None at the base).  No tree is stored: ``result``
     rebuilds one from the backpointers through the subclass's
     ``_tree(i, j, h)``.
+
+    Both DPs share one fill.  Intervals run by ascending length.  The base
+    h = |I| - min_queries is the empty tree (cost 0) when no key need stay,
+    and otherwise the leaf of a least-weight key of I (lowest index on
+    ties).  Every other cell (I, h) weighs two kinds of candidate, and a
+    candidate costs its weight plus its children's costs:
+
+    * the equality candidate: the (I, h+1) result under the least-weight
+      key e of I that it does not place, at cost ``cw[h+1] + w(e)``;
+    * a split at s = i+1..j over the results for ([i, s-1], h1) and
+      ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
+      sum of its children's cost + weight entries, gathered for all
+      candidates at once from concatenated child rows (``_split_gathers``).
+
+    The subclass's ``_best_split`` picks the winner and says which root key
+    a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
+    the equality candidate, stored as (i, 0, h + 1, e), and e is None for a
+    split that places no key at its root.
     """
 
     min_queries = 0
@@ -669,13 +726,73 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _add_rows(self, i: int, j: int, size: int) -> tuple[list, list, list, list]:
-        """Store and return the rows of [i, j]: zeros, no backpointers."""
-        self._rows[(i, j)] = rows = ([0] * size, [0] * size, [0] * size, [None] * size)
-        return rows
+    def _best_split(self, bases, eq_cost, eq_e, iv_perm, placed) -> tuple:
+        """A cell's winner (cost, k, e): k = -1 for the equality candidate
+        (*eq_cost*, key *eq_e*), else an index into *bases*, the split
+        candidates' base costs.  ``placed(k)`` and *iv_perm* are the
+        permuted masks of candidate k's placed keys and of I's keys."""
+        raise NotImplementedError
+
+    def _fill(self) -> None:
+        m = self.min_queries
+        order = self._order
+        key_at_rank = order.key_at_rank
+        weight_at_rank = order.weight_at_rank
+        bit = order.bit
+        best_split = self._best_split
+        lo, hi = self.interval.i, self.interval.j
+        rows = self._rows
+        for length in range(1, hi - lo + 2):
+            gathers, split_of = _split_gathers(length, m)
+            size = length + 1 - m
+            for i in range(lo, hi - length + 2):
+                j = i + length - 1
+                iv_perm = order.interval_perm(i, j)
+                cw_l, cw_r, perm_l, perm_r = [], [], [], []
+                for s in range(i + 1, j + 1):
+                    left, right = rows[(i, s - 1)], rows[(s, j)]
+                    cw_l += left[1]
+                    cw_r += right[1]
+                    perm_l += left[2]
+                    perm_r += right[2]
+                cw_l_at, cw_r_at = cw_l.__getitem__, cw_r.__getitem__
+                rows[(i, j)] = cost_row, cw_row, perm_row, choice_row = (
+                    [0] * size, [0] * size, [0] * size, [None] * size
+                )
+                if m:  # the base keeps one key: a leaf of least weight
+                    rank = (iv_perm & -iv_perm).bit_length() - 1
+                    cw_row[-1] = weight_at_rank[rank]
+                    perm_row[-1] = 1 << rank
+                for h in range(length - m - 1, -1, -1):
+                    free = iv_perm & ~perm_row[h + 1]
+                    rank = (free & -free).bit_length() - 1
+                    at_l, at_r = gathers[h]
+                    bases = list(map(add, map(cw_l_at, at_l), map(cw_r_at, at_r)))
+                    cost, k, e = best_split(
+                        bases,
+                        cw_row[h + 1] + weight_at_rank[rank],
+                        key_at_rank[rank],
+                        iv_perm,
+                        lambda k: perm_l[at_l[k]] | perm_r[at_r[k]],
+                    )
+                    # A cost is the weight plus the children's costs.
+                    if k < 0:
+                        s, h1, h2 = i, 0, h + 1
+                        weight = cost - cost_row[h2]
+                        placed = perm_row[h2]
+                    else:
+                        size_l, h1 = split_of[at_l[k]]
+                        s, h2 = i + size_l, h + 1 - m - h1
+                        left, right = rows[(i, s - 1)], rows[(s, j)]
+                        weight = cost - left[0][h1] - right[0][h2]
+                        placed = left[2][h1] | right[2][h2]
+                    cost_row[h] = cost
+                    cw_row[h] = cost + weight
+                    perm_row[h] = placed if e is None else placed | bit[e]
+                    choice_row[h] = (s, h1, h2, e)
 
     def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list]:
-        rows = self._rows.get((i, j)) if i <= j else None
+        rows = self._rows.get((i, j))
         if rows is None:
             raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
         if not 0 <= h < len(rows[0]):
@@ -692,7 +809,7 @@ class DpTable:
         )
 
     def choice(self, i: int, j: int, h: int) -> tuple | None:
-        """The cell's backpointer, in the subclass's format; None at bases."""
+        """The cell's backpointer (s, h1, h2, e); None at bases."""
         return self._row(i, j, h)[3][h]
 
     def cost(self, i: int, j: int, h: int) -> int:

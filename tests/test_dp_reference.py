@@ -49,6 +49,12 @@ def test_random_instances_full_and_inner_intervals(name, wmax):
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
+def test_long_random_instance(name):
+    """24 keys with many distinct weights, unlike I31's few."""
+    _assert_same_cells(name, random_instance(24, 1000, 9400))
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
 @pytest.mark.parametrize("instance", ["I9", "I15", "I31"])
 def test_named_instances(name, instance):
     _assert_same_cells(name, build_instance(instance).instance)

@@ -1,4 +1,6 @@
 """Random-instance generation, subproblem audits, and campaign behavior."""
+from collections import Counter
+
 import pytest
 
 from cstlab.bench import build_instance, exhibit
@@ -15,7 +17,7 @@ from cstlab.falsify import (
     replay_trial,
 )
 from cstlab.hw import hw_solve
-from cstlab.model import Instance, format_instance
+from cstlab.model import Instance, Interval, format_instance
 from cstlab.oracle import SizeLimitError
 from cstlab.spuler import spuler_solve
 
@@ -186,9 +188,19 @@ class TestModels:
         assert len(cells) == len(want)
         assert set(cells) == want
 
+    def test_rows_are_exactly_the_listed_cells(self, name):
+        """The table stores one row per interval that cells() lists, with
+        one entry per listed hole count, and no row for an empty interval."""
+        inst = build_instance("I9").instance
+        for interval in (None, Interval(2, 7)):
+            table = MODELS[name].table(inst, interval)
+            want = Counter((i, j) for i, j, _ in table.cells())
+            assert {iv: len(rows[0]) for iv, rows in table._rows.items()} == want
+
     def test_accessors_answer_exactly_the_listed_cells(self, name):
-        """HW keeps rows for the empty intervals [i, i - 1] its splits read;
-        no accessor may answer from them, or from any other unlisted cell."""
+        """No accessor answers for a cell that cells() does not list: an
+        empty interval [i, i - 1], an interval outside the root or a hole
+        count out of range."""
         inst = build_instance("I9").instance
         table = MODELS[name].table(inst)
         cells = set(table.cells())

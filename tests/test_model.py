@@ -100,6 +100,14 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="line 1: negative weight -0"):
             parse_instance("A -0")
 
+    @pytest.mark.parametrize("weight", ["007", "00", "01"])
+    def test_leading_zero_weight_rejected(self, weight):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: leading zero in weight {weight!r}")):
+            parse_instance(f"A 1\nB {weight}\n")
+
+    def test_zero_weight_accepted(self):
+        assert parse_instance("A 0\nB 10\n").weights == (0, 10)
+
     def test_malformed_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_instance("A 1\nB")
@@ -362,6 +370,11 @@ class TestInstanceInvariants:
     def test_weights_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             Instance(("A",), (-1,))
+
+    @pytest.mark.parametrize("weight", [2.7, 2.0, "3", True])
+    def test_weights_must_be_plain_ints(self, weight):
+        with pytest.raises(ValueError, match="is not an int"):
+            Instance(("A", "B"), (1, weight))
 
     def test_labels_must_ascend(self):
         with pytest.raises(ValueError):
