@@ -19,6 +19,10 @@ from .render import FORMATS, InvalidTreeError, parse_tree_file, render_tree
 
 __all__ = ["main"]
 
+# The most keys `solve --alg hw|spuler` fills: an HW solve of 116 keys took
+# 50 s on a 2-core VM, and the fill is O(n^5).
+DP_KEY_LIMIT = 116
+
 
 class UsageError(Exception):
     pass
@@ -146,6 +150,8 @@ def _cmd_solve(args) -> int:
             raise UsageError(str(exc)) from None
 
     if args.alg == model.dp:
+        if interval.size > DP_KEY_LIMIT:
+            raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
         result = model.table.solve(inst, interval, h)
         cost, weight, tree = result.cost, result.weight, result.tree
         holes_used = result.holes_in(interval)

@@ -28,8 +28,10 @@ s = j+1 (one child, on the left) is never tried, as it offers the same
 cost and key.  ``_best_split`` looks up the free key of a split candidate
 only when its bound (base cost plus the least weight in I) does not exceed
 the best cost so far: a candidate of equal cost can still win the tie on a
-smaller e.  ``_tree`` joins the rebuilt children under e with
-:func:`~cstlab.model.gbst_join`.
+smaller e.  The lookup is the lesser of the two children's stored free
+ranks (``DpTable``'s ``free`` rows): the children's intervals partition I,
+and rank order is weight order.  ``_tree`` joins the rebuilt children
+under e with :func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
 
@@ -41,10 +43,9 @@ __all__ = ["HwTable", "hw_solve"]
 class HwTable(DpTable):
     """The HW DP over every (i, j, h) inside a root interval, h <= |I|."""
 
-    def _best_split(self, bases, eq_cost, eq_e, iv_perm, placed):
+    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
         key_at_rank = self._order.key_at_rank
         weight_at_rank = self._order.weight_at_rank
-        least_w = weight_at_rank[(iv_perm & -iv_perm).bit_length() - 1]
         best_cost, best_k, best_e = eq_cost, -1, eq_e
         limit = best_cost - least_w
         # Candidates run in ascending (s, h1) order, so a strict < on
@@ -52,8 +53,9 @@ class HwTable(DpTable):
         for k, base in enumerate(bases):
             if base > limit:  # costs more than best_cost
                 continue
-            free = iv_perm & ~placed(k)
-            rank = (free & -free).bit_length() - 1
+            # The lesser free rank of the two sides, without a min() call.
+            left, right = free_l[at_l[k]], free_r[at_r[k]]
+            rank = left if left < right else right
             cost = base + weight_at_rank[rank]
             if cost < best_cost or (cost == best_cost and key_at_rank[rank] < best_e):
                 best_cost, best_k, best_e = cost, k, key_at_rank[rank]

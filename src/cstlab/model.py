@@ -640,7 +640,11 @@ def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
         raise ValueError(f"hole count {h} out of range 0..{max_h}")
 
 
-def _split_gathers(length: int, min_queries: int) -> tuple[list, list]:
+LAYOUT_CACHE_MAX_LENGTH = 33  # the most the 3 MB layout budget allows
+_LAYOUTS: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+
+
+def _split_gathers(length: int, min_queries: int) -> tuple[tuple, tuple]:
     """Where the split candidates of an interval of *length* keys sit.
 
     Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
@@ -650,12 +654,20 @@ def _split_gathers(length: int, min_queries: int) -> tuple[list, list]:
     the candidates (size_l, h1) with h1 + h2 = h + 1 - min_queries, splits
     ascending and then h1 ascending; and, per left position, its
     (size_l, h1).
+
+    All tables share the layouts up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
+    through ``_LAYOUTS``: 2.91 MB (tracemalloc) for lengths 1..33 and both
+    DPs, as tuples, which fill faster than ``array('H')``.  A longer layout
+    is rebuilt per table, in O(length^3) against the fill's O(n^5).
     """
+    layout = _LAYOUTS.get((length, min_queries))
+    if layout is not None:
+        return layout
     m = min_queries
     sizes = range(1, length)
     # Slices of one list of positions, so that all gathers share its ints.
     pos = list(range(sum(size + 1 - m for size in sizes)))
-    split_of = [(size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m)]
+    split_of = tuple((size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m))
     gathers = []
     for h in range(length - m):
         at_l: list[int] = []
@@ -670,8 +682,11 @@ def _split_gathers(length: int, min_queries: int) -> tuple[list, list]:
             at_r += reversed(pos[start_r + h + 2 - m - b : start_r + h + 2 - m - a])
             start_l += size_l + 1 - m
             start_r += size_r + 1 - m
-        gathers.append((at_l, at_r))
-    return gathers, split_of
+        gathers.append((tuple(at_l), tuple(at_r)))
+    layout = tuple(gathers), split_of
+    if length <= LAYOUT_CACHE_MAX_LENGTH:
+        _LAYOUTS[(length, min_queries)] = layout
+    return layout
 
 
 class DpTable:
@@ -680,12 +695,13 @@ class DpTable:
 
     A subproblem must keep ``min_queries`` keys, so h runs over
     0..|I| - min_queries.  ``_fill`` writes the table's one store:
-    ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, four
+    ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, five
     lists indexed by h, namely the cost, the cost + weight, ``used_perm``
-    (the keys placed, as a permuted mask of :class:`LeastWeightOrder`) and
-    the backpointer (None at the base).  No tree is stored: ``result``
-    rebuilds one from the backpointers through the subclass's
-    ``_tree(i, j, h)``.
+    (the keys placed, as a permuted mask of :class:`LeastWeightOrder`), the
+    backpointer (None at the base) and ``free``, the rank of the
+    least-weight key of [i, j] that the cell leaves unplaced (n when it
+    places every key).  No tree is stored: ``result`` rebuilds one from the
+    backpointers through the subclass's ``_tree(i, j, h)``.
 
     Both DPs share one fill.  Intervals run by ascending length.  The base
     h = |I| - min_queries is the empty tree (cost 0) when no key need stay,
@@ -694,11 +710,13 @@ class DpTable:
     candidate costs its weight plus its children's costs:
 
     * the equality candidate: the (I, h+1) result under the least-weight
-      key e of I that it does not place, at cost ``cw[h+1] + w(e)``;
+      key e of I that it does not place (rank ``free[h+1]``), at cost
+      ``cw[h+1] + w(e)``;
     * a split at s = i+1..j over the results for ([i, s-1], h1) and
       ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
       sum of its children's cost + weight entries, gathered for all
-      candidates at once from concatenated child rows (``_split_gathers``).
+      candidates at once from concatenated child rows at positions that
+      ``_split_gathers`` shares among all tables.
 
     The subclass's ``_best_split`` picks the winner and says which root key
     a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
@@ -717,7 +735,7 @@ class DpTable:
         self.inst = inst
         self.interval = interval
         self._order = LeastWeightOrder(inst)
-        self._rows: dict[tuple[int, int], tuple[list, list, list, list]] = {}
+        self._rows: dict[tuple[int, int], tuple[list, list, list, list, list]] = {}
         self._fill()
 
     @classmethod
@@ -726,11 +744,12 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _best_split(self, bases, eq_cost, eq_e, iv_perm, placed) -> tuple:
+    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r) -> tuple:
         """A cell's winner (cost, k, e): k = -1 for the equality candidate
         (*eq_cost*, key *eq_e*), else an index into *bases*, the split
-        candidates' base costs.  ``placed(k)`` and *iv_perm* are the
-        permuted masks of candidate k's placed keys and of I's keys."""
+        candidates' base costs.  Candidate k's sides leave free ranks
+        ``free_l[at_l[k]]`` and ``free_r[at_r[k]]`` (the concatenated child
+        ``free`` rows); *least_w* is the least weight in I."""
         raise NotImplementedError
 
     def _fill(self) -> None:
@@ -742,38 +761,37 @@ class DpTable:
         best_split = self._best_split
         lo, hi = self.interval.i, self.interval.j
         rows = self._rows
+        none_free = self.inst.n
         for length in range(1, hi - lo + 2):
             gathers, split_of = _split_gathers(length, m)
             size = length + 1 - m
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
                 iv_perm = order.interval_perm(i, j)
-                cw_l, cw_r, perm_l, perm_r = [], [], [], []
+                least = (iv_perm & -iv_perm).bit_length() - 1
+                cw_l, cw_r, free_l, free_r = [], [], [], []
                 for s in range(i + 1, j + 1):
                     left, right = rows[(i, s - 1)], rows[(s, j)]
                     cw_l += left[1]
                     cw_r += right[1]
-                    perm_l += left[2]
-                    perm_r += right[2]
+                    free_l += left[4]
+                    free_r += right[4]
                 cw_l_at, cw_r_at = cw_l.__getitem__, cw_r.__getitem__
-                rows[(i, j)] = cost_row, cw_row, perm_row, choice_row = (
-                    [0] * size, [0] * size, [0] * size, [None] * size
+                rows[(i, j)] = cost_row, cw_row, perm_row, choice_row, free_row = (
+                    [0] * size, [0] * size, [0] * size, [None] * size, [0] * size
                 )
                 if m:  # the base keeps one key: a leaf of least weight
-                    rank = (iv_perm & -iv_perm).bit_length() - 1
-                    cw_row[-1] = weight_at_rank[rank]
-                    perm_row[-1] = 1 << rank
+                    cw_row[-1] = weight_at_rank[least]
+                    perm_row[-1] = 1 << least
+                free = iv_perm & ~perm_row[-1]
+                free_row[-1] = (free & -free).bit_length() - 1 if free else none_free
                 for h in range(length - m - 1, -1, -1):
-                    free = iv_perm & ~perm_row[h + 1]
-                    rank = (free & -free).bit_length() - 1
+                    rank = free_row[h + 1]
                     at_l, at_r = gathers[h]
                     bases = list(map(add, map(cw_l_at, at_l), map(cw_r_at, at_r)))
                     cost, k, e = best_split(
-                        bases,
-                        cw_row[h + 1] + weight_at_rank[rank],
-                        key_at_rank[rank],
-                        iv_perm,
-                        lambda k: perm_l[at_l[k]] | perm_r[at_r[k]],
+                        bases, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
+                        weight_at_rank[least], free_l, free_r, at_l, at_r,
                     )
                     # A cost is the weight plus the children's costs.
                     if k < 0:
@@ -788,10 +806,12 @@ class DpTable:
                         placed = left[2][h1] | right[2][h2]
                     cost_row[h] = cost
                     cw_row[h] = cost + weight
-                    perm_row[h] = placed if e is None else placed | bit[e]
+                    perm_row[h] = placed = placed if e is None else placed | bit[e]
                     choice_row[h] = (s, h1, h2, e)
+                    free = iv_perm & ~placed
+                    free_row[h] = (free & -free).bit_length() - 1 if free else none_free
 
-    def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list]:
+    def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list, list]:
         rows = self._rows.get((i, j))
         if rows is None:
             raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
@@ -800,7 +820,7 @@ class DpTable:
         return rows
 
     def result(self, i: int, j: int, h: int) -> SolveResult:
-        cost, cost_weight, used_perm, _ = self._row(i, j, h)
+        cost, cost_weight, used_perm, _, _ = self._row(i, j, h)
         return SolveResult(
             cost=cost[h],
             tree=self._tree(i, j, h),

@@ -64,13 +64,13 @@ DEFAULT_TWCST_LIMIT = 18
 
 
 class SizeLimitError(RuntimeError):
-    """Raised when a query interval exceeds the oracle's configured limit."""
+    """Raised when a query interval exceeds a solver's configured limit."""
 
-    def __init__(self, size: int, limit: int):
+    def __init__(self, size: int, limit: int, solver: str = "oracle"):
         self.size = size
         self.limit = limit
         super().__init__(
-            f"interval of size {size} exceeds the configured oracle limit {limit}"
+            f"interval of size {size} exceeds the configured {solver} limit {limit}"
         )
 
 

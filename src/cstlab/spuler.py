@@ -52,7 +52,7 @@ class SpulerTable(DpTable):
 
     min_queries = 1
 
-    def _best_split(self, bases, eq_cost, eq_e, iv_perm, placed):
+    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
         cost = min(bases)
         if eq_cost <= cost:
             return eq_cost, -1, eq_e
@@ -66,7 +66,7 @@ class SpulerTable(DpTable):
         return ("lt", s, h1, h2) if e is None else ("eq", e)
 
     def _tree(self, i: int, j: int, h: int) -> TwcstTree:
-        _, _, perm_row, choice_row = self._rows[(i, j)]
+        _, _, perm_row, choice_row, _ = self._rows[(i, j)]
         choice = choice_row[h]
         if choice is None:  # one leaf: its key is the one rank bit placed
             return Leaf(self._order.key_at_rank[perm_row[h].bit_length() - 1])

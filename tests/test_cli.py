@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstlab.bench import build_instance
-from cstlab.cli import main
-from cstlab.model import format_instance
+from cstlab.cli import DP_KEY_LIMIT, main
+from cstlab.model import DpTable, format_instance
 from cstlab.render import FORMATS
 
 
@@ -157,6 +157,26 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--model", "bogus", "--alg", "hw", "--instance", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("model, alg", [("gbsplit", "hw"), ("twcst", "spuler")])
+    def test_dp_interval_over_the_key_limit_exit_2(self, model, alg, tmp_path, monkeypatch):
+        """An interval one key over the limit is refused before any fill;
+        an inner interval of the same instance is solved."""
+        def no_fill(self):
+            raise AssertionError("the table was filled")
+
+        n = DP_KEY_LIMIT + 1
+        path = tmp_path / "big.txt"
+        path.write_text("".join(f"K{k:03d} {1 + k % 7}\n" for k in range(n)))
+        argv = ["solve", "--model", model, "--alg", alg, "--instance", str(path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(DpTable, "_fill", no_fill)
+            rc, err = _exit_code(argv)
+        assert rc == 2
+        assert err == (
+            f"error: interval of size {n} exceeds the configured {alg} limit {DP_KEY_LIMIT}\n"
+        )
+        assert _exit_code([*argv, "--interval", "2", "6"]) == (0, "")
 
 
 class TestVerifyPaper:

@@ -1,0 +1,94 @@
+"""The DP row store's free-rank column and the split layouts that every
+table in a process shares."""
+import random
+import tracemalloc
+
+import pytest
+
+from cstlab import model
+from cstlab.bench import build_instance
+from cstlab.falsify import random_instance
+from cstlab.model import Interval, LeastWeightOrder
+from test_dp_reference import SEEDS_PER_WMAX, TABLES, _assert_same_cells
+
+
+def _reference_seeds():
+    """The instances and intervals of ``test_dp_reference``."""
+    for wmax in (1, 3, 16, 1000):
+        for seed in range(SEEDS_PER_WMAX):
+            n = 1 + seed % 13
+            inst = random_instance(n, wmax, 9100 + seed)
+            yield inst, None
+            rng = random.Random(seed)
+            i = rng.randint(1, n)
+            yield inst, Interval(i, rng.randint(i, n))
+    yield random_instance(24, 1000, 9400), None
+    for name in ("I9", "I15", "I31"):
+        yield build_instance(name).instance, None
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_free_is_the_least_unplaced_rank(name):
+    """free[h] is the lowest rank of [i, j] minus the keys cell h places,
+    and the sentinel n exactly when the cell places every key."""
+    for inst, interval in _reference_seeds():
+        table = TABLES[name][0](inst, interval)
+        order = LeastWeightOrder(inst)
+        for (i, j), (_, _, used_perm, _, free) in table._rows.items():
+            assert len(free) == len(used_perm)
+            for h, placed in enumerate(used_perm):
+                unplaced = order.interval_perm(i, j) & ~placed
+                want = (unplaced & -unplaced).bit_length() - 1 if unplaced else inst.n
+                assert free[h] == want, (name, inst.weights, (i, j, h))
+
+
+def test_shared_layouts_leave_every_cell_unchanged(monkeypatch):
+    """Interleaved HW and Spuler fills of several lengths, with a cap low
+    enough that some lengths are cached and others rebuilt per table, give
+    the reference cells.  A cached layout is reused as the same object,
+    equals a fresh build after the fills, and no layout above the cap is
+    kept."""
+    cap = 12
+    monkeypatch.setattr(model, "_LAYOUTS", {})
+    monkeypatch.setattr(model, "LAYOUT_CACHE_MAX_LENGTH", cap)
+    i31 = build_instance("I31").instance
+    sequence = [
+        ("hw", random_instance(24, 1000, 9401)),
+        ("spuler", random_instance(5, 16, 9402)),
+        ("hw", i31),
+        ("spuler", i31),
+        ("hw", random_instance(1, 3, 9403)),
+        ("spuler", random_instance(13, 3, 9404)),
+        ("hw", random_instance(13, 16, 9405)),
+        ("spuler", random_instance(24, 1000, 9406)),
+    ]
+    first = None
+    for name, inst in sequence:
+        _assert_same_cells(name, inst)
+        if first is None:
+            first = dict(model._LAYOUTS)
+    assert max(length for length, _ in model._LAYOUTS) == cap
+    assert {m for _, m in model._LAYOUTS} == {0, 1}
+    for key, layout in first.items():
+        assert model._LAYOUTS[key] is layout
+        assert model._split_gathers(*key) is layout
+    cached = dict(model._LAYOUTS)
+    monkeypatch.setattr(model, "_LAYOUTS", {})
+    monkeypatch.setattr(model, "LAYOUT_CACHE_MAX_LENGTH", 0)
+    for key, layout in cached.items():
+        assert model._split_gathers(*key) == layout
+    assert model._LAYOUTS == {}
+
+
+def test_cached_layouts_fit_the_memory_budget(monkeypatch):
+    """Every layout up to the cap, for both DPs, takes under 3 MB."""
+    monkeypatch.setattr(model, "_LAYOUTS", {})
+    tracemalloc.start()
+    try:
+        for length in range(1, model.LAYOUT_CACHE_MAX_LENGTH + 1):
+            for min_queries in (0, 1):
+                model._split_gathers(length, min_queries)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size < 3_000_000
