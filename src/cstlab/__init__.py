@@ -20,7 +20,6 @@ from .model import (
     SolveResult,
     TwcstTree,
     Verdict,
-    check_order_property,
     parse_instance,
     replace_subtree,
     tree_cost,

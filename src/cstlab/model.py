@@ -57,7 +57,6 @@ __all__ = [
     "twcst_weight",
     "gbst_validate",
     "twcst_validate",
-    "check_order_property",
     "replace_subtree",
     "range_mask",
     "mask_of",
@@ -519,42 +518,6 @@ gbst_weight = twcst_weight = tree_weight
 gbst_validate = twcst_validate = validate
 
 
-def check_order_property(tree: GbstTree) -> Verdict:
-    """Keys in left and right subtrees of any node must be ordered across it.
-
-    For every node M, every equality key in M's left subtree must be less
-    than every equality key in M's right subtree.  (M's own key is free.)
-    """
-    violations: list[str] = []
-    # Post-order (left, right, node) on an explicit stack, so trees of any
-    # depth work; spans holds the (min, max) key of each finished subtree,
-    # None for an empty one.
-    spans: list[tuple[int, int] | None] = []
-    stack: list[tuple[GbstTree, bool]] = [(tree, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if node is None:
-            spans.append(None)
-        elif not children_done:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        else:
-            rs = spans.pop()
-            ls = spans.pop()
-            if ls and rs and ls[1] >= rs[0]:
-                violations.append(
-                    f"keys around node {node.eq}: left max {ls[1]} >= right min {rs[0]}"
-                )
-            lo = hi = node.eq
-            for s in (ls, rs):
-                if s:
-                    lo = min(lo, s[0])
-                    hi = max(hi, s[1])
-            spans.append((lo, hi))
-    return Verdict.failures(violations)
-
-
 # ---------------------------------------------------------------------------
 # Structural surgery
 # ---------------------------------------------------------------------------
@@ -640,11 +603,11 @@ def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
         raise ValueError(f"hole count {h} out of range 0..{max_h}")
 
 
-LAYOUT_CACHE_MAX_LENGTH = 33  # the most the 3 MB layout budget allows
-_LAYOUTS: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+LAYOUT_CACHE_MAX_LENGTH = 36  # the most the 3 MB layout budget allows
+_LAYOUTS: dict[tuple[int, int], tuple] = {}
 
 
-def _split_gathers(length: int, min_queries: int) -> tuple[tuple, tuple]:
+def _split_gathers(length: int, min_queries: int) -> tuple:
     """Where the split candidates of an interval of *length* keys sit.
 
     Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
@@ -652,22 +615,22 @@ def _split_gathers(length: int, min_queries: int) -> tuple[tuple, tuple]:
     left sides are concatenated in split order, and so are the rows of the
     right sides.  Returns, per h, the positions in each concatenation of
     the candidates (size_l, h1) with h1 + h2 = h + 1 - min_queries, splits
-    ascending and then h1 ascending; and, per left position, its
-    (size_l, h1).
+    ascending and then h1 ascending.  A left position's (size_l, h1) is
+    the table's own ``split_of`` entry (see :class:`DpTable`).
 
-    All tables share the layouts up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
-    through ``_LAYOUTS``: 2.91 MB (tracemalloc) for lengths 1..33 and both
-    DPs, as tuples, which fill faster than ``array('H')``.  A longer layout
-    is rebuilt per table, in O(length^3) against the fill's O(n^5).
+    All tables share the gathers up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
+    through ``_LAYOUTS``: 2.95 MB (tracemalloc) for lengths 1..36 and both
+    DPs, as tuples, which fill faster than ``array('H')``; length 37 would
+    take 3.28 MB.  Longer gathers are rebuilt per table, in O(length^3)
+    against the fill's O(n^5).
     """
-    layout = _LAYOUTS.get((length, min_queries))
-    if layout is not None:
-        return layout
+    gathers = _LAYOUTS.get((length, min_queries))
+    if gathers is not None:
+        return gathers
     m = min_queries
     sizes = range(1, length)
     # Slices of one list of positions, so that all gathers share its ints.
     pos = list(range(sum(size + 1 - m for size in sizes)))
-    split_of = tuple((size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m))
     gathers = []
     for h in range(length - m):
         at_l: list[int] = []
@@ -683,10 +646,10 @@ def _split_gathers(length: int, min_queries: int) -> tuple[tuple, tuple]:
             start_l += size_l + 1 - m
             start_r += size_r + 1 - m
         gathers.append((tuple(at_l), tuple(at_r)))
-    layout = tuple(gathers), split_of
+    gathers = tuple(gathers)
     if length <= LAYOUT_CACHE_MAX_LENGTH:
-        _LAYOUTS[(length, min_queries)] = layout
-    return layout
+        _LAYOUTS[(length, min_queries)] = gathers
+    return gathers
 
 
 class DpTable:
@@ -716,7 +679,10 @@ class DpTable:
       ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
       sum of its children's cost + weight entries, gathered for all
       candidates at once from concatenated child rows at positions that
-      ``_split_gathers`` shares among all tables.
+      ``_split_gathers`` shares among all tables.  The winner's (s, h1)
+      comes from ``split_of``, one map per table from left positions to
+      (size_l, h1), built for the root length in O(n^2): every shorter
+      length's left rows are a prefix of it.
 
     The subclass's ``_best_split`` picks the winner and says which root key
     a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
@@ -762,8 +728,11 @@ class DpTable:
         lo, hi = self.interval.i, self.interval.j
         rows = self._rows
         none_free = self.inst.n
+        split_of = [
+            (size_l, h1) for size_l in range(1, hi - lo + 1) for h1 in range(size_l + 1 - m)
+        ]
         for length in range(1, hi - lo + 2):
-            gathers, split_of = _split_gathers(length, m)
+            gathers = _split_gathers(length, m)
             size = length + 1 - m
             for i in range(lo, hi - length + 2):
                 j = i + length - 1

@@ -485,35 +485,22 @@ def depth_seq(m_max: int) -> DepthSeq:
     return DepthSeq(tuple(d[:m_max]), tuple(e[:m_max]))
 
 
-def _between_counter(queries: list[int]):
-    from bisect import bisect_left, bisect_right
-
-    def count(a: int, b: int) -> int:
-        return bisect_left(queries, b) - bisect_right(queries, a)
-
-    return count
-
-
-def _separated(subset: tuple[int, ...], between) -> bool:
+def _separated(gaps: list[int]) -> bool:
+    # gaps[t] counts the queries strictly between members t and t + 1.
     # Separators must be queries outside the subset; between adjacent
     # members every strictly-inner query qualifies.
-    return all(between(a, b) >= 1 for a, b in zip(subset, subset[1:]))
+    return 0 not in gaps
 
 
-def _nearly_separated(subset: tuple[int, ...], between) -> bool:
+def _nearly_separated(gaps: list[int]) -> bool:
     # Dropping one member must leave a set whose separators all lie outside
     # the *original* subset, so the gap merged around the dropped member f
     # needs a second inner query besides f itself.
-    m = len(subset)
+    m = len(gaps) + 1
     for k in range(m):
-        pairs_ok = all(
-            between(subset[t], subset[t + 1]) >= 1
-            for t in range(m - 1)
-            if t != k - 1 and t != k
-        )
-        if not pairs_ok:
+        if any(gap == 0 for t, gap in enumerate(gaps) if t != k - 1 and t != k):
             continue
-        if 0 < k < m - 1 and between(subset[k - 1], subset[k + 1]) < 2:
+        if 0 < k < m - 1 and gaps[k - 1] + gaps[k] == 0:
             continue
         return True
     return False
@@ -532,21 +519,23 @@ def depth_bound_violations(
         raise ValueError(f"m_max {m_max} exceeds the depth sequences' length")
     depths = {key: charge for key, charge, _ in _walk(tree)}
     queries = sorted(depths)
-    between = _between_counter(queries)
+    charges = [depths[key] for key in queries]
     violations = []
     for m in range(2, min(m_max, len(queries)) + 1):
-        for subset in combinations(queries, m):
-            total = sum(depths[k] for k in subset)
-            if _separated(subset, between):
-                if total < seqs.d_at(m):
-                    violations.append(
-                        f"separated {subset}: total depth {total} < d_{m}={seqs.d_at(m)}"
-                    )
-            elif _nearly_separated(subset, between):
-                if total < seqs.e_at(m):
-                    violations.append(
-                        f"nearly separated {subset}: total depth {total} < e_{m}={seqs.e_at(m)}"
-                    )
+        # Subsets as positions in *queries*, so that b - a - 1 queries lie
+        # strictly between members at positions a < b.
+        for at in combinations(range(len(queries)), m):
+            gaps = [b - a - 1 for a, b in zip(at, at[1:])]
+            if _separated(gaps):
+                kind, name, bound = "separated", "d", seqs.d_at(m)
+            elif _nearly_separated(gaps):
+                kind, name, bound = "nearly separated", "e", seqs.e_at(m)
+            else:
+                continue
+            total = sum(charges[p] for p in at)
+            if total < bound:
+                subset = tuple(queries[p] for p in at)
+                violations.append(f"{kind} {subset}: total depth {total} < {name}_{m}={bound}")
     return violations
 
 

@@ -46,8 +46,8 @@ __all__ = ["SpulerTable", "spuler_solve"]
 class SpulerTable(DpTable):
     """Spuler's DP over every (i, j, h) inside a root interval, h <= |I| - 1.
 
-    ``choice`` gives ("eq", e) or ("lt", s, h1, h2); None at the one-leaf
-    base h = |I| - 1.
+    ``choice`` gives DpTable's (s, h1, h2, e): (i, 0, h + 1, e) for T_= on
+    e, (s, h1, h2, None) for T_<s; None at the one-leaf base h = |I| - 1.
     """
 
     min_queries = 1
@@ -57,13 +57,6 @@ class SpulerTable(DpTable):
         if eq_cost <= cost:
             return eq_cost, -1, eq_e
         return cost, bases.index(cost), None
-
-    def choice(self, i: int, j: int, h: int) -> tuple | None:
-        choice = super().choice(i, j, h)
-        if choice is None:
-            return None
-        s, h1, h2, e = choice
-        return ("lt", s, h1, h2) if e is None else ("eq", e)
 
     def _tree(self, i: int, j: int, h: int) -> TwcstTree:
         _, _, perm_row, choice_row, _ = self._rows[(i, j)]

@@ -4,10 +4,16 @@ root-to-node search per key (O(keys x depth)).  ``test_model_reference.py``
 requires the family-free walk in ``cstlab.model`` to agree with this code,
 and ``reference_render.py`` validates through it.
 
+Also ``cstlab.oracle.depth_bound_violations`` as it first counted the
+queries between two members, by bisecting the sorted queries;
+``test_oracle.py`` requires the position arithmetic that replaced it to
+give the same lists.
+
 Kept verbatim apart from the imports.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from cstlab.model import (
@@ -20,7 +26,9 @@ from cstlab.model import (
     Leaf,
     TwcstTree,
     Verdict,
+    _walk,
 )
+from cstlab.oracle import DepthSeq
 
 __all__ = [
     "gbst_nodes",
@@ -32,6 +40,7 @@ __all__ = [
     "twcst_leaf_depths",
     "gbst_validate",
     "twcst_validate",
+    "depth_bound_violations",
 ]
 
 
@@ -210,3 +219,67 @@ def twcst_validate(
             violations.append(f"search for {v} ends at leaf {node.key}")
     return Verdict.failures(violations)
 
+
+def _between_counter(queries: list[int]):
+    from bisect import bisect_left, bisect_right
+
+    def count(a: int, b: int) -> int:
+        return bisect_left(queries, b) - bisect_right(queries, a)
+
+    return count
+
+
+def _separated(subset: tuple[int, ...], between) -> bool:
+    # Separators must be queries outside the subset; between adjacent
+    # members every strictly-inner query qualifies.
+    return all(between(a, b) >= 1 for a, b in zip(subset, subset[1:]))
+
+
+def _nearly_separated(subset: tuple[int, ...], between) -> bool:
+    # Dropping one member must leave a set whose separators all lie outside
+    # the *original* subset, so the gap merged around the dropped member f
+    # needs a second inner query besides f itself.
+    m = len(subset)
+    for k in range(m):
+        pairs_ok = all(
+            between(subset[t], subset[t + 1]) >= 1
+            for t in range(m - 1)
+            if t != k - 1 and t != k
+        )
+        if not pairs_ok:
+            continue
+        if 0 < k < m - 1 and between(subset[k - 1], subset[k + 1]) < 2:
+            continue
+        return True
+    return False
+
+
+def depth_bound_violations(
+    tree: TwcstTree, seqs: DepthSeq, m_max: int = 6
+) -> list[str]:
+    """Check every query subset of size <= m_max against the depth bounds.
+
+    Separated subsets must have total leaf depth >= d_m, nearly separated
+    ones >= e_m.  Returns human-readable violations (empty when all hold).
+    Raises ValueError when *seqs* is shorter than m_max.
+    """
+    if m_max > min(len(seqs.d), len(seqs.e)):
+        raise ValueError(f"m_max {m_max} exceeds the depth sequences' length")
+    depths = {key: charge for key, charge, _ in _walk(tree)}
+    queries = sorted(depths)
+    between = _between_counter(queries)
+    violations = []
+    for m in range(2, min(m_max, len(queries)) + 1):
+        for subset in combinations(queries, m):
+            total = sum(depths[k] for k in subset)
+            if _separated(subset, between):
+                if total < seqs.d_at(m):
+                    violations.append(
+                        f"separated {subset}: total depth {total} < d_{m}={seqs.d_at(m)}"
+                    )
+            elif _nearly_separated(subset, between):
+                if total < seqs.e_at(m):
+                    violations.append(
+                        f"nearly separated {subset}: total depth {total} < e_{m}={seqs.e_at(m)}"
+                    )
+    return violations

@@ -1,5 +1,5 @@
-"""The DP row store's free-rank column and the split layouts that every
-table in a process shares."""
+"""The DP row store's free-rank column, the split gathers that every table
+in a process shares, and each table's own split map."""
 import random
 import tracemalloc
 
@@ -81,14 +81,33 @@ def test_shared_layouts_leave_every_cell_unchanged(monkeypatch):
 
 
 def test_cached_layouts_fit_the_memory_budget(monkeypatch):
-    """Every layout up to the cap, for both DPs, takes under 3 MB."""
+    """The gathers up to the cap, for both DPs, take under 3 MB, and one
+    length more would not: the cap is the most the budget allows."""
+    cap = model.LAYOUT_CACHE_MAX_LENGTH
     monkeypatch.setattr(model, "_LAYOUTS", {})
+    monkeypatch.setattr(model, "LAYOUT_CACHE_MAX_LENGTH", cap + 1)
+    sizes = []
     tracemalloc.start()
     try:
-        for length in range(1, model.LAYOUT_CACHE_MAX_LENGTH + 1):
+        for length in range(1, cap + 2):
             for min_queries in (0, 1):
                 model._split_gathers(length, min_queries)
-        size = tracemalloc.get_traced_memory()[0]
+            sizes.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
-    assert size < 3_000_000
+    assert sizes[-2] < 3_000_000 <= sizes[-1]
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_split_map_covers_a_table_longer_than_the_cap(name):
+    """The root length is past the cap, so its gathers are built per table;
+    the winners read their (s, h1) from the table's one split map, and each
+    root-interval cell's rebuilt tree is valid and has the cell's cost and
+    weight."""
+    inst = random_instance(model.LAYOUT_CACHE_MAX_LENGTH + 1, 1000, 9407)
+    table = TABLES[name][0](inst)
+    full = inst.full_interval()
+    for h in range(inst.n + 1 - table.min_queries):
+        r = table.result(1, inst.n, h)
+        assert model.validate(r.tree, full, r.holes_in(full), inst).ok, h
+        assert (model.tree_cost(r.tree, inst), model.tree_weight(r.tree, inst)) == (r.cost, r.weight)

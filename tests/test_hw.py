@@ -52,7 +52,6 @@ class TestHwTable:
         assert table.cost(1, 9, 2) == 209
 
     def test_every_cell_tree_valid(self):
-        from cstlab.model import check_order_property
         from reference_model import gbst_nodes
 
         for seed in range(6):
@@ -63,7 +62,6 @@ class TestHwTable:
                 iv = Interval(i, j)
                 assert gbst_validate(r.tree, iv, r.holes_in(iv), inst).ok
                 assert j - i + 1 - len(r.used_keys) == h
-                assert check_order_property(r.tree).ok
                 assert len(list(gbst_nodes(r.tree))) == j - i + 1 - h
 
     def test_matches_hw_solve(self):

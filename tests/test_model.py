@@ -1,4 +1,5 @@
-"""Core model: parsing, cost evaluators, validity, order property, surgery."""
+"""Core model: parsing, cost evaluators, validity (which implies the order
+property), surgery."""
 import re
 
 import pytest
@@ -13,7 +14,6 @@ from cstlab.model import (
     Interval,
     Leaf,
     ParseError,
-    check_order_property,
     format_instance,
     gbst_cost,
     gbst_validate,
@@ -254,31 +254,40 @@ class TestTwcstValidate:
 
 
 class TestOrderProperty:
+    """Every key in a node's left subtree is below every key in its right
+    subtree.  ``validate`` enforces it: a split routes the left child's
+    searches below it and the right child's at or above it, and below a
+    split-less node every search is stuck.  Each tree here is checked for
+    its span, the interval of its keys minus the keys it leaves out."""
+
     def test_t2a_holds(self):
-        assert check_order_property(t2a()).ok
+        assert gbst_validate(t2a(), I9.full_interval(), (3, 5), I9).ok
 
     def test_single_node(self):
-        assert check_order_property(GbstNode(5)).ok
+        assert gbst_validate(GbstNode(5), Interval(5, 5), (), I9).ok
 
     def test_inverted_fails(self):
         bad = GbstNode(1, split=5, left=GbstNode(7), right=GbstNode(4))
-        verdict = check_order_property(bad)
-        assert not verdict.ok
+        verdict = gbst_validate(bad, Interval(1, 7), (2, 3, 5, 6), I9)
+        assert verdict.violations == (
+            "search for 4 does not reach its node",
+            "search for 7 does not reach its node",
+        )
 
     def test_root_key_unconstrained(self):
         # The node's own equality key may exceed its right subtree's keys.
         tree = GbstNode(8, split=2, left=GbstNode(1), right=GbstNode(2))
-        assert check_order_property(tree).ok
+        assert gbst_validate(tree, Interval(1, 8), (3, 4, 5, 6, 7), I9).ok
 
     def test_empty(self):
-        assert check_order_property(None).ok
+        assert gbst_validate(None, Interval(1, 0), (), I9).ok
 
 
 DEEP = 1500  # deeper than Python's default recursion limit of 1000 frames
 
 
 class TestDeepTrees:
-    """Cost and order checks walk trees of any depth without recursion."""
+    """Cost and validity checks walk trees of any depth without recursion."""
 
     INST = Instance(tuple(f"K{k:04d}" for k in range(1, DEEP + 1)),
                     tuple(k % 7 for k in range(1, DEEP + 1)))
@@ -287,9 +296,12 @@ class TestDeepTrees:
     def gbst_chain(swap_bottom=False):
         # Node k tests key k and sends every larger key right, under split k+1.
         node = GbstNode(DEEP)
+        top = DEEP - 1
         if swap_bottom:
-            node = GbstNode(DEEP, split=DEEP, left=GbstNode(DEEP + 1), right=GbstNode(1))
-        for k in range(DEEP - 1, 0, -1):
+            # The last two keys hang on the wrong sides of their split.
+            node = GbstNode(DEEP - 2, split=DEEP, left=GbstNode(DEEP), right=GbstNode(DEEP - 1))
+            top = DEEP - 3
+        for k in range(top, 0, -1):
             node = GbstNode(k, split=k + 1, right=node)
         return node
 
@@ -301,10 +313,12 @@ class TestDeepTrees:
         assert gbst_weight(tree, self.INST) == self.INST.total_weight()
 
     def test_gbst_chain_verdicts(self):
-        assert check_order_property(self.gbst_chain()).ok
-        verdict = check_order_property(self.gbst_chain(swap_bottom=True))
+        full = self.INST.full_interval()
+        assert gbst_validate(self.gbst_chain(), full, (), self.INST).ok
+        verdict = gbst_validate(self.gbst_chain(swap_bottom=True), full, (), self.INST)
         assert verdict.violations == (
-            f"keys around node {DEEP}: left max {DEEP + 1} >= right min 1",
+            f"search for {DEEP - 1} does not reach its node",
+            f"search for {DEEP} does not reach its node",
         )
 
     def test_equality_cascade_cost_is_closed_form(self):
@@ -402,4 +416,17 @@ class TestInstanceInvariants:
         # Spot-check with the 209-tree: 7 nodes for 9 keys minus 2 holes.
         tree = t2a()
         assert len(list(gbst_nodes(tree))) == 7
-        assert check_order_property(tree).ok
+        assert gbst_validate(tree, I9.full_interval(), (3, 5), I9).ok
+
+
+def test_every_module_star_import_resolves():
+    """Each name in a module's ``__all__`` exists, so a deletion cannot
+    leave a stale export behind."""
+    import pkgutil
+
+    import cstlab
+
+    modules = sorted(info.name for info in pkgutil.iter_modules(cstlab.__path__))
+    assert modules == ["bench", "cli", "falsify", "hw", "model", "oracle", "render", "spuler"]
+    for name in modules:
+        exec(f"from cstlab.{name} import *", {})

@@ -348,6 +348,29 @@ class TestDepthBounds:
         inflated = DepthSeq((0, 99, 99, 99, 99, 99), (0, 99, 99, 99, 99, 99))
         assert depth_bound_violations(tree, inflated, 6) != []
 
+    def test_violation_lists_match_the_reference(self):
+        """Position arithmetic gives the lists that bisecting the sorted
+        queries gave, under the true sequences and under sequences inflated
+        by 3, which many trees violate."""
+        from reference_model import depth_bound_violations as reference
+        from cstlab.spuler import SpulerTable
+
+        true = depth_seq(6)
+        inflated = DepthSeq(tuple(d + 3 for d in true.d), tuple(e + 3 for e in true.e))
+        nonempty = 0
+        for seed in range(12):
+            inst = random_instance(3 + seed % 8, 16, 700 + seed)
+            table = SpulerTable(inst)
+            oracle = TwcstOracle(inst)
+            trees = [table.result(i, j, h).tree for i, j, h in table.cells()]
+            trees += [oracle.opt_star(inst.full_interval(), h)[1] for h in range(inst.n)]
+            for tree in trees:
+                for seqs in (true, inflated):
+                    got = depth_bound_violations(tree, seqs, 6)
+                    assert got == reference(tree, seqs, 6), (seed, tree)
+                    nonempty += bool(got)
+        assert nonempty > 100
+
     @pytest.mark.parametrize("leaves", [8, 14])
     def test_m_max_beyond_the_sequences_is_rejected(self, leaves):
         from cstlab.model import Cmp, Leaf, LT

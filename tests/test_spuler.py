@@ -74,8 +74,8 @@ class TestSpulerTable:
         table = SpulerTable(I15)
         for i, j, h in table.cells():
             choice = table.choice(i, j, h)
-            if choice and choice[0] == "lt":
-                _, s, h1, h2 = choice
+            if choice and choice[3] is None:  # T_< on s
+                s, h1, h2, _ = choice
                 assert (s - i) - h1 >= 1
                 assert (j - s + 1) - h2 >= 1
 
