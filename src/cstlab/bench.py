@@ -366,14 +366,14 @@ def verify_depth_lemma(m_max: int = 6, trials: int = 40, seed: int = 1) -> Repor
 
     # Any prefix subproblem with exactly four positive queries is optimally
     # solved at cost 49 / weight 22; with five, at 69 / 27.
+    inst = _prefix_instance(14)
+    oracle = TwcstOracle(inst)
     for target, cost_w in ((4, (49, 22)), (5, (69, 27))):
         for length in range(1, 15):
             holes = positive_key_count(length) - target
             if holes < 0:
                 continue
-            inst = _prefix_instance(length)
-            oracle = TwcstOracle(inst)
-            cost, tree, _ = oracle.opt_star(inst.full_interval(), holes)
+            cost, tree, _ = oracle.opt_star(Interval(1, length), holes)
             tag = f"lemmaT{target}.I{length}.h{holes}"
             add(Check(f"{tag}.cost", cost_w[0], cost))
             add(Check(f"{tag}.weight", cost_w[1], tree_weight(tree, inst)))

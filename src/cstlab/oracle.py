@@ -1,14 +1,16 @@
 """Correct-by-construction exact solvers for both tree families.
 
 The state of a subproblem is its query set Q: the keys of an (interval,
-explicit hole set) pair that are not holes, as a bit mask (bit k-1 =
-key k).  A hole is only a key missing from Q, so every pair with the same
-Q shares one memo entry, and a split matters only through the gap of Q it
-falls in: each state tries one split per gap between consecutive keys of
-Q.  Trees are rebuilt from the memoized costs by walking the same gaps.
-The solvers are exponential in the interval size and refuse intervals
-beyond a fixed limit.  They serve as the ground truth the polynomial-time
-dynamic programs are audited against.
+explicit hole set) pair that are not holes.  A hole is only a key missing
+from Q, so every pair with the same Q shares one memo slot, and a split
+matters only through the gap of Q it falls in: each state tries one split
+per gap between consecutive keys of Q.  Trees are rebuilt from the
+memoized costs by walking the same gaps.  The memo is one flat list per
+span, a run of at most ``limit`` keys, whose slot Q holds the cost of the
+query set with mask Q relative to the span's first key, or None.  The
+solvers are exponential in the interval size and refuse intervals beyond
+that limit.  They are the ground truth the dynamic programs are audited
+against.
 
 A whole-table audit reads opt* for every cell from ``star_rows``: one pass
 that costs each query set of the root interval once and files it under
@@ -79,14 +81,14 @@ class ExactOracle:
 
     A subproblem must keep ``min_queries`` keys, so opt_star's h runs over
     0..|I| - min_queries, and its interval may hold at most ``limit`` keys.
-    Subclasses supply the memoized recurrence ``_cost(q)`` and ``_tree(q, i)``,
-    which rebuilds an optimal tree for Q from the memo; i is the start of
-    the subproblem's interval.  The recurrence fills the memo top-down, so
-    it reaches only the states the optimum can depend on; its hot loops
-    look each subproblem up in the memo inline and call the method only
-    on a miss.  The memo is shared across all top-level queries on the
-    oracle, so enumerating hole sets at a fixed interval reuses subproblem
-    work.
+    Subclasses supply the memoized recurrence ``_cost(q)`` and
+    ``_tree(q, i)``, which rebuilds an optimal tree for Q from the memo (i
+    starts the subproblem's interval).  Both read the span ``_query_set``
+    last selected, so one oracle serves one thread at a time: its
+    ``_new_tables`` lists, its weights ``w`` by relative bit, and
+    ``_shift``, its first key - 1.  A new span widens its query's interval
+    to ``limit`` keys inside the instance, so nearby queries share it.
+    The memo fills top-down, reaching only the states the optimum needs.
     """
 
     min_queries = 0
@@ -94,10 +96,11 @@ class ExactOracle:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.w = (0,) + tuple(inst.weights)
+        # (first key, last key, w, memo, g_memo) per span
+        self._spans: list[tuple] = []
 
     def _query_set(self, interval: Interval, holes: Iterable[int] | int) -> int:
-        """Query set of a subproblem the oracle accepts; raises otherwise."""
+        """Query set of an accepted subproblem, relative to its span."""
         interval.validate_for(self.inst.n)
         if interval.size > self.limit:
             raise SizeLimitError(interval.size, self.limit)
@@ -110,7 +113,23 @@ class ExactOracle:
         q = interval.mask() & ~holes
         if q.bit_count() < self.min_queries:
             raise ValueError("subproblem must keep at least one query")
-        return q
+        span = next((s for s in self._spans if s[0] <= interval.i and interval.j <= s[1]), None)
+        if span is None:
+            last = min(self.inst.n, interval.i + self.limit - 1)
+            first = max(1, last - self.limit + 1)
+            w = (0,) + tuple(self.inst.weights[first - 1 : last])
+            span = (first, last, w, *self._new_tables(last - first + 1))
+            self._spans.append(span)
+        first, _, self.w, self._memo, self._g_memo = span
+        self._shift = first - 1
+        return q >> self._shift
+
+    def _new_tables(self, size: int) -> tuple[list, list | None]:
+        """A span's cost list (min_queries keys cost 0) and g(Q) list, if any."""
+        memo = [None] * (1 << size)
+        for q in [1 << k for k in range(size)] if self.min_queries else [0]:
+            memo[q] = 0
+        return memo, None
 
     def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, object]:
         """Exact optimum over all valid trees for (interval, holes)."""
@@ -123,7 +142,7 @@ class ExactOracle:
     def opt_star(self, interval: Interval, h: int) -> tuple[int, object, tuple[int, ...]]:
         """Minimum over all hole sets of size h; returns the argmin set too."""
         cost, holes = self._star_argmin(interval, h)
-        return cost, self._tree(interval.mask() & ~mask_of(holes), interval.i), holes
+        return cost, self._tree(self._query_set(interval, holes), interval.i), holes
 
     def opt_star_cost(self, interval: Interval, h: int) -> int:
         return self._star_argmin(interval, h)[0]
@@ -131,18 +150,16 @@ class ExactOracle:
     def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...]]:
         full = self._query_set(interval, 0)
         check_hole_count(h, interval, self.min_queries)
-        best = None
-        best_holes: tuple[int, ...] = ()
-        get = self._memo.get
-        cost = self._cost
-        for holes in combinations(interval.keys(), h):
-            q = full & ~mask_of(holes)
-            c = get(q)
+        memo, cost, shift = self._memo, self._cost, self._shift
+        best = best_bits = None
+        for bits in combinations([1 << (k - 1 - shift) for k in interval.keys()], h):
+            q = full - sum(bits)  # the hole bits lie inside full
+            c = memo[q]
             if c is None:
                 c = cost(q)
             if best is None or c < best:
-                best, best_holes = c, holes
-        return best, best_holes
+                best, best_bits = c, bits
+        return best, tuple(b.bit_length() + shift for b in best_bits)
 
     def star_rows(
         self, interval: Interval, holes_max: int | None = None
@@ -166,40 +183,40 @@ class ExactOracle:
             holes_max = interval.size
         elif holes_max < 0:
             raise ValueError("holes_max must be >= 0")
-        get = self._memo.get
-        cost = self._cost
+        memo, cost, shift = self._memo, self._cost, self._shift
         rows: dict[tuple[int, int], list[int]] = {}
-        # inner[r]: the kept inner keys of a span of length `span`, as masks
-        # of its span - 2 inner bits, that leave r of them as holes.
+        # inner[r]: the kept inner keys of a run of `length` keys, as masks
+        # of its length - 2 inner bits, that leave r of them as holes.
         inner = [[0]]
-        for span in range(1, interval.size + 1):
-            if span > 2:
+        for length in range(1, interval.size + 1):
+            if length > 2:
                 # The new top inner bit is either kept or one more hole.
-                top = 1 << (span - 3)
+                top = 1 << (length - 3)
                 old = inner
                 inner = [
                     ([s | top for s in old[r]] if r < len(old) else [])
                     + (old[r - 1] if r else [])
-                    for r in range(min(holes_max, span - 2) + 1)
+                    for r in range(min(holes_max, length - 2) + 1)
                 ]
-            width = min(holes_max, span - self.min_queries) + 1
-            for lo in range(interval.i, interval.j - span + 2):
-                hi = lo + span - 1
-                ends = (1 << (lo - 1)) | (1 << (hi - 1))
+            width = min(holes_max, length - self.min_queries) + 1
+            for lo in range(interval.i, interval.j - length + 2):
+                hi = lo + length - 1
+                base = lo - shift  # lo's relative bit position
+                ends = (1 << (base - 1)) | (1 << (base + length - 2))
                 row = [None] * width
-                if width > span:
-                    row[span] = 0  # every key a hole: the empty GBST
+                if width > length:
+                    row[length] = 0  # every key a hole: the empty GBST
                 for r, kept in enumerate(inner):
                     best = None
                     for s in kept:
-                        q = ends | s << lo
-                        c = get(q)
+                        q = ends | s << base
+                        c = memo[q]
                         if c is None:
                             c = cost(q)
                         if best is None or c < best:
                             best = c
                     row[r] = best
-                if span > 1:
+                if length > 1:
                     left, right = rows[(lo, hi - 1)], rows[(lo + 1, hi)]
                     for h in range(1, width):
                         sub = min(left[h - 1], right[h - 1])
@@ -225,21 +242,19 @@ class GbstOracle(ExactOracle):
 
     limit = DEFAULT_GBST_LIMIT
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        self._memo: dict[int, int] = {0: 0}
-        self._g_memo: dict[int, int] = {}
+    def _new_tables(self, size: int) -> tuple[list, list]:
+        return super()._new_tables(size)[0], [None] * (1 << size)
 
     def _cost(self, q: int) -> int:
-        get = self._memo.get
-        hit = get(q)
+        memo = self._memo
+        hit = memo[q]
         if hit is not None:
             return hit
-        g_get = self._g_memo.get
+        g_memo = self._g_memo
         cost = self._cost
         g = self._g
         w = self.w
-        best = g_get(q)
+        best = g_memo[q]
         if best is None:
             best = g(q)
         total = 0
@@ -251,45 +266,46 @@ class GbstOracle(ExactOracle):
             left |= low
             total += w[low.bit_length()]
             if rest:
-                g_left = g_get(left)
+                g_left = g_memo[left]
                 if g_left is None:
                     g_left = g(left)
-                cost_rest = get(rest)
+                cost_rest = memo[rest]
                 if cost_rest is None:
                     cost_rest = cost(rest)
                 c = g_left + cost_rest
                 if c < best:
                     best = c
-                cost_left = get(left)
+                cost_left = memo[left]
                 if cost_left is None:
                     cost_left = cost(left)
-                g_rest = g_get(rest)
+                g_rest = g_memo[rest]
                 if g_rest is None:
                     g_rest = g(rest)
                 c = cost_left + g_rest
                 if c < best:
                     best = c
         result = total + best
-        self._memo[q] = result
+        memo[q] = result
         return result
 
     def _g(self, q: int) -> int:
-        hit = self._g_memo.get(q)
+        g_memo = self._g_memo
+        hit = g_memo[q]
         if hit is not None:
             return hit
-        get = self._memo.get
+        memo = self._memo
         cost = self._cost
         best = None
         rest = q
         while rest:
             low = rest & -rest
             rest ^= low
-            c = get(q ^ low)
+            c = memo[q ^ low]
             if c is None:
                 c = cost(q ^ low)
             if best is None or c < best:
                 best = c
-        self._g_memo[q] = best
+        g_memo[q] = best
         return best
 
     def _eq_key(self, q: int) -> int:
@@ -307,20 +323,21 @@ class GbstOracle(ExactOracle):
             return None
         cost = self._cost
         g = self._g
-        target = cost(q) - self.inst.mask_weight(q)
+        shift = self._shift
+        target = cost(q) - self.inst.mask_weight(q << shift)
         if g(q) == target:
             e = self._eq_key(q)
-            return gbst_join(e.bit_length(), i, i, None, self._tree(q ^ e, i))
+            return gbst_join(e.bit_length() + shift, i, i, None, self._tree(q ^ e, i))
         left = q & -q
         rest = q ^ left
         while rest:
-            s = left.bit_length() + 1
+            s = left.bit_length() + 1 + shift
             if g(left) + cost(rest) == target:
                 e = self._eq_key(left)
-                return gbst_join(e.bit_length(), s, i, self._tree(left ^ e, i), self._tree(rest, s))
+                return gbst_join(e.bit_length() + shift, s, i, self._tree(left ^ e, i), self._tree(rest, s))
             if cost(left) + g(rest) == target:
                 e = self._eq_key(rest)
-                return gbst_join(e.bit_length(), s, i, self._tree(left, i), self._tree(rest ^ e, s))
+                return gbst_join(e.bit_length() + shift, s, i, self._tree(left, i), self._tree(rest ^ e, s))
             low = rest & -rest
             rest ^= low
             left |= low
@@ -345,13 +362,9 @@ class TwcstOracle(ExactOracle):
     min_queries = 1
     limit = DEFAULT_TWCST_LIMIT
 
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        self._memo: dict[int, int] = {1 << k: 0 for k in range(inst.n)}
-
     def _cost(self, q: int) -> int:
-        get = self._memo.get
-        hit = get(q)
+        memo = self._memo
+        hit = memo[q]
         if hit is not None:
             return hit
         cost = self._cost
@@ -367,23 +380,23 @@ class TwcstOracle(ExactOracle):
             weight = w[low.bit_length()]
             total += weight
             if weight:
-                c = get(q ^ low)
+                c = memo[q ^ low]
                 if c is None:
                     c = cost(q ^ low)
                 if best is None or c < best:
                     best = c
             if rest:
-                cost_left = get(left)
+                cost_left = memo[left]
                 if cost_left is None:
                     cost_left = cost(left)
-                cost_rest = get(rest)
+                cost_rest = memo[rest]
                 if cost_rest is None:
                     cost_rest = cost(rest)
                 c = cost_left + cost_rest
                 if best is None or c < best:
                     best = c
         result = total + best
-        self._memo[q] = result
+        memo[q] = result
         return result
 
     def _tree(self, q: int, i: int = 0) -> TwcstTree:
@@ -391,20 +404,21 @@ class TwcstOracle(ExactOracle):
         tests at q_a + 1 for each gap after the a-th key of Q: the first
         that attains cost(Q).  Split keys come from Q alone, so the
         interval start i is not needed."""
+        shift = self._shift
         if q & (q - 1) == 0:
-            return Leaf(q.bit_length())
+            return Leaf(q.bit_length() + shift)
         cost = self._cost
         w = self.w
-        target = cost(q) - self.inst.mask_weight(q)
+        target = cost(q) - self.inst.mask_weight(q << shift)
         for low in _bits(q):
             e = low.bit_length()
             if w[e] and cost(q ^ low) == target:
-                return Cmp(EQ, e, yes=Leaf(e), no=self._tree(q ^ low))
+                return Cmp(EQ, e + shift, yes=Leaf(e + shift), no=self._tree(q ^ low))
         left = q & -q
         rest = q ^ left
         while rest:
             if cost(left) + cost(rest) == target:
-                return Cmp(LT, left.bit_length() + 1, yes=self._tree(left), no=self._tree(rest))
+                return Cmp(LT, left.bit_length() + 1 + shift, yes=self._tree(left), no=self._tree(rest))
             low = rest & -rest
             rest ^= low
             left |= low
@@ -429,20 +443,11 @@ def placement_lower_bound(inst: Instance) -> int:
     Assign keys, heaviest first, to the slots of the infinite binary tree
     level by level (2^d slots at depth d) and charge weight * (depth + 1).
     Any valid tree induces such a placement of equal cost, so no tree can
-    cost less than the best placement.
+    cost less than the best placement.  Numbering the slots 1, 2, ... level
+    by level puts slot r at depth + 1 = r.bit_length().
     """
-    total = 0
-    depth = 0
-    capacity = 1
-    filled = 0
-    for w in sorted(inst.weights, reverse=True):
-        if filled == capacity:
-            depth += 1
-            capacity = 1 << depth
-            filled = 0
-        total += w * (depth + 1)
-        filled += 1
-    return total
+    ranked = sorted(inst.weights, reverse=True)
+    return sum(w * r.bit_length() for r, w in enumerate(ranked, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +490,6 @@ def depth_seq(m_max: int) -> DepthSeq:
     return DepthSeq(tuple(d[:m_max]), tuple(e[:m_max]))
 
 
-def _separated(gaps: list[int]) -> bool:
-    # gaps[t] counts the queries strictly between members t and t + 1.
-    # Separators must be queries outside the subset; between adjacent
-    # members every strictly-inner query qualifies.
-    return 0 not in gaps
-
-
 def _nearly_separated(gaps: list[int]) -> bool:
     # Dropping one member must leave a set whose separators all lie outside
     # the *original* subset, so the gap merged around the dropped member f
@@ -526,7 +524,9 @@ def depth_bound_violations(
         # strictly between members at positions a < b.
         for at in combinations(range(len(queries)), m):
             gaps = [b - a - 1 for a, b in zip(at, at[1:])]
-            if _separated(gaps):
+            # Separators must be queries outside the subset, and every
+            # query strictly between two adjacent members qualifies.
+            if 0 not in gaps:
                 kind, name, bound = "separated", "d", seqs.d_at(m)
             elif _nearly_separated(gaps):
                 kind, name, bound = "nearly separated", "e", seqs.e_at(m)

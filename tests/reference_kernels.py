@@ -208,3 +208,15 @@ class TwcstCostKernel(_Reference):
             if self.cost(i, s - 1, lm) + self.cost(s, j, rm) == target:
                 return Cmp(LT, s, yes=self.tree(i, s - 1, lm), no=self.tree(s, j, rm))
         raise AssertionError("memoized optimum not reproducible")
+
+
+def filled_states(oracle, g=False):
+    """The query sets an oracle has memoized, as absolute masks (bit k-1 =
+    key k): its cost slots, or with g its GBST g(Q) slots, over every span
+    table, each read back from the span's relative masks.  A 2WCST oracle
+    has no g(Q) slots."""
+    states = set()
+    for first, _, _, memo, g_memo in oracle._spans:
+        table = (g_memo or ()) if g else memo
+        states.update(q << (first - 1) for q, c in enumerate(table) if c is not None)
+    return states

@@ -91,6 +91,28 @@ class TestTreesAgainstReference:
             assert new.opt_star(full, h) == old.opt_star(1, inst.n, h), h
 
 
+    @pytest.mark.parametrize(
+        "oracle, reference", [(GbstOracle, ref.GbstCostKernel), (TwcstOracle, ref.TwcstCostKernel)]
+    )
+    def test_windows_in_spans_past_key_1(self, oracle, reference):
+        # An instance longer than the limit puts these windows in spans
+        # that start at keys 3 and 7, so every key, hole and split comes
+        # back through the span's shift.
+        inst = random_instance(oracle.limit + 6, 12, 4321)
+        new = oracle(inst)
+        old = reference(inst.weights)
+        for i in (3, 10, inst.n - 5):
+            window = Interval(i, i + 5)
+            for h in range(window.size - new.min_queries + 1):
+                assert new.opt_star(window, h) == old.opt_star(i, window.j, h), (i, h)
+            rows = new.star_rows(window)
+            for lo in window.keys():
+                for hi in range(lo, window.j + 1):
+                    expected = [old.star(lo, hi, h)[0] for h in range(hi - lo + 2 - new.min_queries)]
+                    assert rows[(lo, hi)] == expected, (lo, hi)
+        assert [span[:2] for span in new._spans] == [(3, new.limit + 2), (7, inst.n)]
+
+
 class TestAgainstBruteForce:
     # The GBST brute force has no memo, so it stops at 6 keys.
     @pytest.mark.parametrize("seed", [s for s in range(24) if s % 8 < 6])
@@ -176,9 +198,9 @@ class TestReachableStates:
     def test_twcst(self):
         oracle = TwcstOracle(random_instance(18, 1000, 7))
         oracle.opt_cost(oracle.inst.full_interval())
-        assert len(oracle._memo) == 5292
+        assert len(ref.filled_states(oracle)) == 5292
 
     def test_gbst(self):
         oracle = GbstOracle(random_instance(12, 1000, 7))
         oracle.opt_cost(oracle.inst.full_interval())
-        assert (len(oracle._memo), len(oracle._g_memo)) == (4096, 4095)
+        assert (len(ref.filled_states(oracle)), len(ref.filled_states(oracle, g=True))) == (4096, 4095)

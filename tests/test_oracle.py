@@ -68,6 +68,17 @@ class TestGbstOpt:
         with pytest.raises(SizeLimitError, match="limit 16"):
             oracle.opt(I31.full_interval(), ())
 
+    def test_i31_blocks_from_separate_spans(self):
+        # [1, 9] opens the span [1, 16], which [10, 16] reuses; [17, 31]
+        # lies outside it and opens [16, 31].
+        oracle = GbstOracle(I31)
+        assert oracle.opt_star_cost(Interval(1, 9), 2) == 209
+        assert oracle.opt_cost(Interval(10, 16)) == 220
+        cost, tree = oracle.opt(Interval(17, 31))
+        assert cost == 660 == gbst_cost(tree, I31)
+        assert gbst_validate(tree, Interval(17, 31), (), I31).ok
+        assert [span[:2] for span in oracle._spans] == [(1, 16), (16, 31)]
+
     def test_cost_beyond_int64_is_exact(self):
         # 37 * 2^58 exceeds int64, so a fixed-width cost would wrap.
         inst = Instance(tuple(f"K{k:02d}" for k in range(1, 13)), (2**58,) * 12)
@@ -259,7 +270,26 @@ class TestStarRows:
                                 fresh.opt_star_cost(Interval(i, j), h) for h in range(top + 1)
                             ]
                     assert rows == expected, (oracle.__name__, root, holes_max)
-                    assert set(new._memo) == set(fresh._memo), (oracle.__name__, root, holes_max)
+                    assert ref.filled_states(new) == ref.filled_states(fresh), (oracle.__name__, root, holes_max)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sub_interval_queries_fill_no_new_slot(self, seed):
+        # The pass costs every query set of the root interval, so every
+        # later query inside it reads the same span table and adds nothing.
+        inst = random_instance(4 + seed, 16, 900 + seed)
+        full = inst.full_interval()
+        for oracle in (GbstOracle(inst), TwcstOracle(inst)):
+            oracle.star_rows(full)
+            filled = (ref.filled_states(oracle), ref.filled_states(oracle, g=True))
+            for i in full.keys():
+                for j in range(i, inst.n + 1):
+                    sub = Interval(i, j)
+                    oracle.opt(sub)
+                    for h in range(sub.size - oracle.min_queries + 1):
+                        oracle.opt_star_cost(sub, h)
+                        oracle.opt_star(sub, h)
+            assert (ref.filled_states(oracle), ref.filled_states(oracle, g=True)) == filled
+            assert len(oracle._spans) == 1
 
     def test_refuses_what_opt_star_refuses(self):
         with pytest.raises(ValueError, match="holes_max"):

@@ -1,0 +1,55 @@
+"""Frozen counterexamples to two conjectures about optimal GBSTs.
+
+C2: opt*(I, h) is reached by removing the h heaviest keys of I.  It fails
+at seven keys: the best single hole is key 6, not the heaviest key 3.
+
+H': some optimal GBST gives every query set the form "[i, j] minus its
+heaviest keys", closed under dropping a set's lowest or highest key.  Its
+13-key counterexample (w'_k = 1000 w_k + (13 - k)) is pinned here by its
+oracle certificate: the exact optimum, which HW's DP also reaches, and the
+optimum under the other index tie order (+k), where H' holds.
+"""
+from cstlab.hw import HwTable, hw_solve
+from cstlab.model import Instance, Interval, validate
+from cstlab.oracle import GbstOracle
+
+
+def _instance(weights):
+    return Instance(tuple(f"K{k:02d}" for k in range(1, len(weights) + 1)), tuple(weights))
+
+
+class TestC2:
+    INST = _instance((1012, 1011, 3010, 1009, 2008, 3007, 3006))
+    FULL = Interval(1, 7)
+
+    def test_opt_star_keeps_the_heaviest_key(self):
+        cost, tree, holes = GbstOracle(self.INST).opt_star(self.FULL, 1)
+        assert (cost, holes) == (22_138, (6,))
+        assert validate(tree, self.FULL, holes, self.INST)
+
+    def test_removing_the_heaviest_key_costs_more(self):
+        assert max(self.FULL.keys(), key=self.INST.weight) == 3
+        assert GbstOracle(self.INST).opt_cost(self.FULL, (3,)) == 23_127
+
+    def test_hw_cell_is_optimal(self):
+        assert HwTable(self.INST).cost(1, 7, 1) == 22_138
+
+
+class TestHPrimeInstance:
+    BASE = (1, 1, 3, 1, 2, 3, 3, 1, 1, 1, 2, 2, 2)
+
+    def _weights(self, sign):
+        n = len(self.BASE)
+        return [1000 * w + (n - k if sign < 0 else k) for k, w in enumerate(self.BASE, 1)]
+
+    def test_oracle_certificate(self):
+        inst = _instance(self._weights(-1))
+        full = inst.full_interval()
+        cost, tree = GbstOracle(inst).opt(full)
+        assert cost == 64_256
+        assert validate(tree, full, (), inst)
+        assert hw_solve(inst, full, 0).cost == 64_256
+
+    def test_other_tie_order(self):
+        inst = _instance(self._weights(+1))
+        assert GbstOracle(inst).opt_cost(inst.full_interval()) == 64_274
