@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 from . import bench, falsify
 from .falsify import MODELS
-from .model import Instance, Interval, ParseError, check_hole_count, parse_instance
-from .oracle import SizeLimitError, depth_seq
+from .model import Instance, Interval, ParseError, check_hole_count, parse_instance, tree_weight
+from .oracle import SizeLimitError, depth_seq, placement_lower_bound
 from .render import FORMATS, InvalidTreeError, parse_tree_file, render_tree
 
 __all__ = ["main"]
@@ -153,7 +153,7 @@ def _cmd_solve(args) -> int:
         if interval.size > DP_KEY_LIMIT:
             raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
         result = model.table.solve(inst, interval, h)
-        cost, weight, tree = result.cost, result.weight, result.tree
+        cost, tree = result.cost, result.tree
         holes_used = result.holes_in(interval)
     else:
         oracle = model.oracle(inst)
@@ -165,16 +165,13 @@ def _cmd_solve(args) -> int:
             holes_used = holeset
         else:
             cost, tree, holes_used = oracle.opt_star(interval, h)
-        weight = inst.range_weight(interval.i, interval.j) - sum(
-            inst.weight(k) for k in holes_used
-        )
 
     print(
         f"model={args.model} alg={args.alg} interval=[{interval.i},{interval.j}] "
         f"holes={len(holes_used)}"
     )
     print(f"cost={cost}")
-    print(f"weight={weight}")
+    print(f"weight={tree_weight(tree, inst)}")
     print("holes_used=" + ",".join(inst.label(k) for k in holes_used))
     if args.render_fmt:
         if tree is None:
@@ -226,8 +223,6 @@ def _cmd_bound(args) -> int:
     if not args.placement:
         raise UsageError("bound requires --placement")
     inst = _read_instance(args.instance)
-    from .oracle import placement_lower_bound
-
     print(f"placement_bound={placement_lower_bound(inst)}")
     return 0
 

@@ -5,9 +5,10 @@ explicit hole set) pair that are not holes.  A hole is only a key missing
 from Q, so every pair with the same Q shares one memo slot, and a split
 matters only through the gap of Q it falls in: each state tries one split
 per gap between consecutive keys of Q.  Trees are rebuilt from the
-memoized costs by walking the same gaps.  The memo is one flat list per
-span, a run of at most ``limit`` keys, whose slot Q holds the cost of the
-query set with mask Q relative to the span's first key, or None.  The
+memoized costs by walking the same gaps.  The memo is one flat list for
+the oracle's window, a run of at most ``limit`` keys, whose slot Q holds
+the cost of the query set with mask Q relative to the window's first key,
+or None; a query outside the window moves it and starts a fresh list.  The
 solvers are exponential in the interval size and refuse intervals beyond
 that limit.  They are the ground truth the dynamic programs are audited
 against.
@@ -47,8 +48,6 @@ from .model import (
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_GBST_LIMIT",
-    "DEFAULT_TWCST_LIMIT",
     "SizeLimitError",
     "GbstOracle",
     "TwcstOracle",
@@ -60,9 +59,6 @@ __all__ = [
 ]
 
 BACKEND = "pure"
-
-DEFAULT_GBST_LIMIT = 16
-DEFAULT_TWCST_LIMIT = 18
 
 
 class SizeLimitError(RuntimeError):
@@ -83,12 +79,13 @@ class ExactOracle:
     0..|I| - min_queries, and its interval may hold at most ``limit`` keys.
     Subclasses supply the memoized recurrence ``_cost(q)`` and
     ``_tree(q, i)``, which rebuilds an optimal tree for Q from the memo (i
-    starts the subproblem's interval).  Both read the span ``_query_set``
-    last selected, so one oracle serves one thread at a time: its
-    ``_new_tables`` lists, its weights ``w`` by relative bit, and
-    ``_shift``, its first key - 1.  A new span widens its query's interval
-    to ``limit`` keys inside the instance, so nearby queries share it.
-    The memo fills top-down, reaching only the states the optimum needs.
+    starts the subproblem's interval).  Both read the oracle's one window,
+    the min(n, limit) keys after ``_shift``: its weights ``w`` by relative
+    bit and the tables ``_open`` made.  A query outside the window replaces
+    it, and the old tables are dropped: the new window starts at the
+    query's first key, moved back to end at key n if need be.  So one
+    oracle serves one thread at a time.  The memo fills top-down, reaching
+    only the states the optimum needs.
     """
 
     min_queries = 0
@@ -96,11 +93,11 @@ class ExactOracle:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        # (first key, last key, w, memo, g_memo) per span
-        self._spans: list[tuple] = []
+        self._size = min(inst.n, self.limit)
+        self._shift = inst.n  # no window yet: the first query opens one
 
     def _query_set(self, interval: Interval, holes: Iterable[int] | int) -> int:
-        """Query set of an accepted subproblem, relative to its span."""
+        """Query set of an accepted subproblem, relative to the window."""
         interval.validate_for(self.inst.n)
         if interval.size > self.limit:
             raise SizeLimitError(interval.size, self.limit)
@@ -113,23 +110,18 @@ class ExactOracle:
         q = interval.mask() & ~holes
         if q.bit_count() < self.min_queries:
             raise ValueError("subproblem must keep at least one query")
-        span = next((s for s in self._spans if s[0] <= interval.i and interval.j <= s[1]), None)
-        if span is None:
-            last = min(self.inst.n, interval.i + self.limit - 1)
-            first = max(1, last - self.limit + 1)
-            w = (0,) + tuple(self.inst.weights[first - 1 : last])
-            span = (first, last, w, *self._new_tables(last - first + 1))
-            self._spans.append(span)
-        first, _, self.w, self._memo, self._g_memo = span
-        self._shift = first - 1
+        if not (self._shift < interval.i and interval.j <= self._shift + self._size):
+            self._open(min(self.inst.n - self._size, interval.i - 1))
         return q >> self._shift
 
-    def _new_tables(self, size: int) -> tuple[list, list | None]:
-        """A span's cost list (min_queries keys cost 0) and g(Q) list, if any."""
-        memo = [None] * (1 << size)
-        for q in [1 << k for k in range(size)] if self.min_queries else [0]:
+    def _open(self, shift: int) -> None:
+        """Start the window at key shift + 1 with an empty cost table, in
+        which every set of min_queries keys costs 0."""
+        self._shift = shift
+        self.w = (0,) + self.inst.weights[shift : shift + self._size]
+        self._memo = memo = [None] * (1 << self._size)
+        for q in [1 << k for k in range(self._size)] if self.min_queries else [0]:
             memo[q] = 0
-        return memo, None
 
     def opt(self, interval: Interval, holes: Iterable[int] | int = 0) -> tuple[int, object]:
         """Exact optimum over all valid trees for (interval, holes)."""
@@ -240,10 +232,11 @@ class GbstOracle(ExactOracle):
     (the g(Q) term), and cutting at an inner gap puts e on one side of it.
     """
 
-    limit = DEFAULT_GBST_LIMIT
+    limit = 16
 
-    def _new_tables(self, size: int) -> tuple[list, list]:
-        return super()._new_tables(size)[0], [None] * (1 << size)
+    def _open(self, shift: int) -> None:
+        super()._open(shift)
+        self._g_memo = [None] * (1 << self._size)
 
     def _cost(self, q: int) -> int:
         memo = self._memo
@@ -360,7 +353,7 @@ class TwcstOracle(ExactOracle):
     """
 
     min_queries = 1
-    limit = DEFAULT_TWCST_LIMIT
+    limit = 18
 
     def _cost(self, q: int) -> int:
         memo = self._memo

@@ -212,11 +212,8 @@ class TwcstCostKernel(_Reference):
 
 def filled_states(oracle, g=False):
     """The query sets an oracle has memoized, as absolute masks (bit k-1 =
-    key k): its cost slots, or with g its GBST g(Q) slots, over every span
-    table, each read back from the span's relative masks.  A 2WCST oracle
-    has no g(Q) slots."""
-    states = set()
-    for first, _, _, memo, g_memo in oracle._spans:
-        table = (g_memo or ()) if g else memo
-        states.update(q << (first - 1) for q, c in enumerate(table) if c is not None)
-    return states
+    key k): the filled slots of its window's cost table, or with g of its
+    GBST g(Q) table, each read back from the window's relative masks.  A
+    2WCST oracle has no g(Q) slots."""
+    table = getattr(oracle, "_g_memo", ()) if g else oracle._memo
+    return {q << oracle._shift for q, c in enumerate(table) if c is not None}

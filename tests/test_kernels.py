@@ -2,6 +2,9 @@
 (interval, hole mask) recursions on every state of small instances, in
 cost and in the tree they rebuild, and the independent brute force on
 every query set."""
+import sys
+import tracemalloc
+
 import pytest
 
 import reference_kernels as ref
@@ -95,12 +98,13 @@ class TestTreesAgainstReference:
         "oracle, reference", [(GbstOracle, ref.GbstCostKernel), (TwcstOracle, ref.TwcstCostKernel)]
     )
     def test_windows_in_spans_past_key_1(self, oracle, reference):
-        # An instance longer than the limit puts these windows in spans
-        # that start at keys 3 and 7, so every key, hole and split comes
-        # back through the span's shift.
+        # An instance longer than the limit puts these queries in oracle
+        # windows that start at keys 3 and 7, so every key, hole and split
+        # comes back through the window's shift.
         inst = random_instance(oracle.limit + 6, 12, 4321)
         new = oracle(inst)
         old = reference(inst.weights)
+        windows = []
         for i in (3, 10, inst.n - 5):
             window = Interval(i, i + 5)
             for h in range(window.size - new.min_queries + 1):
@@ -110,7 +114,48 @@ class TestTreesAgainstReference:
                 for hi in range(lo, window.j + 1):
                     expected = [old.star(lo, hi, h)[0] for h in range(hi - lo + 2 - new.min_queries)]
                     assert rows[(lo, hi)] == expected, (lo, hi)
-        assert [span[:2] for span in new._spans] == [(3, new.limit + 2), (7, inst.n)]
+            windows.append((new._shift + 1, new._shift + new.limit))
+        assert windows == [(3, new.limit + 2), (3, new.limit + 2), (7, inst.n)]
+
+    @pytest.mark.parametrize(
+        "oracle, reference", [(GbstOracle, ref.GbstCostKernel), (TwcstOracle, ref.TwcstCostKernel)]
+    )
+    def test_moving_window_answers_and_memory(self, oracle, reference):
+        # Each interval lies outside the window the one before it left:
+        # forward, back twice, then a jump across the whole instance.  The
+        # oracle keeps only the last window's tables, and every answer
+        # equals a fresh oracle's and the reference kernels'.
+        inst = random_instance(oracle.limit + 6, 12, 8642)
+        n, slots = inst.n, 1 << oracle.limit
+        steps = [((3, 8), 2), ((n - 5, n), 6), ((4, 9), 3), ((1, 6), 0), ((n - 3, n), 6)]
+        new = oracle(inst)
+        answers = []
+        tracemalloc.start()
+        try:
+            for (i, j), shift in steps:
+                window = Interval(i, j)
+                rows = new.star_rows(window)
+                assert new._shift == shift, (i, j)
+                stars = [new.opt_star(window, h) for h in range(window.size - new.min_queries + 1)]
+                answers.append((window, new.opt(window), stars, rows))
+                assert len(new._memo) == slots
+                if oracle is GbstOracle:
+                    assert len(new._g_memo) == slots
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # Only the last window's tables stay, well under two windows' worth.
+        tables = 2 if oracle is GbstOracle else 1
+        assert held < 2 * tables * sys.getsizeof([None] * slots)
+        old = reference(inst.weights)
+        for window, opt, stars, rows in answers:
+            fresh = oracle(inst)
+            assert opt == fresh.opt(window) == (old.cost(window.i, window.j, 0), old.tree(window.i, window.j, 0))
+            for h, star in enumerate(stars):
+                assert star == fresh.opt_star(window, h) == old.opt_star(window.i, window.j, h), (window, h)
+            assert rows == fresh.star_rows(window)
+            for (lo, hi), row in rows.items():
+                assert row == [old.star(lo, hi, h)[0] for h in range(hi - lo + 2 - new.min_queries)], (lo, hi)
 
 
 class TestAgainstBruteForce:

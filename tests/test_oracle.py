@@ -69,15 +69,19 @@ class TestGbstOpt:
             oracle.opt(I31.full_interval(), ())
 
     def test_i31_blocks_from_separate_spans(self):
-        # [1, 9] opens the span [1, 16], which [10, 16] reuses; [17, 31]
-        # lies outside it and opens [16, 31].
+        # [1, 9] opens the window [1, 16], which [10, 16] reuses; [17, 31]
+        # lies outside it and moves the window to [16, 31].
         oracle = GbstOracle(I31)
         assert oracle.opt_star_cost(Interval(1, 9), 2) == 209
+        assert oracle._shift == 0  # the window [1, 16]
         assert oracle.opt_cost(Interval(10, 16)) == 220
+        assert oracle._shift == 0
         cost, tree = oracle.opt(Interval(17, 31))
         assert cost == 660 == gbst_cost(tree, I31)
         assert gbst_validate(tree, Interval(17, 31), (), I31).ok
-        assert [span[:2] for span in oracle._spans] == [(1, 16), (16, 31)]
+        assert oracle._shift == 15  # the window [16, 31]
+        assert oracle.opt(Interval(20, 19)) == (0, None)
+        assert oracle._shift == 15  # an empty interval inside it keeps it
 
     def test_cost_beyond_int64_is_exact(self):
         # 37 * 2^58 exceeds int64, so a fixed-width cost would wrap.
@@ -275,11 +279,12 @@ class TestStarRows:
     @pytest.mark.parametrize("seed", range(6))
     def test_sub_interval_queries_fill_no_new_slot(self, seed):
         # The pass costs every query set of the root interval, so every
-        # later query inside it reads the same span table and adds nothing.
+        # later query inside it reads the same window tables and adds nothing.
         inst = random_instance(4 + seed, 16, 900 + seed)
         full = inst.full_interval()
         for oracle in (GbstOracle(inst), TwcstOracle(inst)):
             oracle.star_rows(full)
+            tables = (oracle._memo, getattr(oracle, "_g_memo", None))
             filled = (ref.filled_states(oracle), ref.filled_states(oracle, g=True))
             for i in full.keys():
                 for j in range(i, inst.n + 1):
@@ -289,7 +294,8 @@ class TestStarRows:
                         oracle.opt_star_cost(sub, h)
                         oracle.opt_star(sub, h)
             assert (ref.filled_states(oracle), ref.filled_states(oracle, g=True)) == filled
-            assert len(oracle._spans) == 1
+            assert oracle._memo is tables[0]
+            assert getattr(oracle, "_g_memo", None) is tables[1]
 
     def test_refuses_what_opt_star_refuses(self):
         with pytest.raises(ValueError, match="holes_max"):
