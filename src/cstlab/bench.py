@@ -350,11 +350,10 @@ def verify_theorem2() -> Report:
     return Report(tuple(checks))
 
 
-def verify_depth_lemma(m_max: int = 6, trials: int = 40, seed: int = 1) -> Report:
-    """Depth-sequence values, the 4- and 5-query subproblem constants, and
-    randomized depth-bound checks on oracle-optimal trees."""
-    if m_max > 6:
-        raise ValueError("depth-bound checks are calibrated for m_max <= 6")
+def verify_depth_lemma(seed: int = 1) -> Report:
+    """Depth-sequence values for m <= 6, the 4- and 5-query subproblem
+    constants, and depth-bound checks on the oracle-optimal trees of 40
+    random instances drawn from *seed*."""
     checks: list[Check] = []
     add = checks.append
 
@@ -379,13 +378,13 @@ def verify_depth_lemma(m_max: int = 6, trials: int = 40, seed: int = 1) -> Repor
             add(Check(f"{tag}.weight", cost_w[1], tree_weight(tree, inst)))
 
     violations = 0
-    for t in range(trials):
+    for t in range(40):
         inst = random_instance(4 + t % 5, 8, seed + t)
         oracle = TwcstOracle(inst)
         full = inst.full_interval()
         for h in range(min(3, inst.n)):
             _, tree, _ = oracle.opt_star(full, h)
-            violations += len(depth_bound_violations(tree, seqs, m_max))
+            violations += len(depth_bound_violations(tree, seqs))
     add(Check("depth.random.violations", 0, violations))
     return Report(tuple(checks))
 

@@ -28,6 +28,17 @@ class UsageError(Exception):
     pass
 
 
+# verify-paper's sections, each called with --seed; the bench function is
+# looked up at call time.
+_SECTIONS = {
+    "figures": lambda seed: bench.verify_figures(),
+    "thm1": lambda seed: bench.verify_theorem1(),
+    "thm2": lambda seed: bench.verify_theorem2(),
+    "depth": lambda seed: bench.verify_depth_lemma(seed),
+    "all": lambda seed: bench.verify_all(seed),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cstlab",
@@ -49,11 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", metavar="FILE")
 
     verify = sub.add_parser("verify-paper", help="reproduce the published numbers")
-    verify.add_argument(
-        "--section",
-        choices=("figures", "thm1", "thm2", "depth", "all"),
-        default="all",
-    )
+    verify.add_argument("--section", choices=tuple(_SECTIONS), default="all")
     verify.add_argument("--seed", type=int, default=1)
 
     fuzz = sub.add_parser("fuzz", help="random discrepancy search")
@@ -181,16 +188,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.section == "figures":
-        report = bench.verify_figures()
-    elif args.section == "thm1":
-        report = bench.verify_theorem1()
-    elif args.section == "thm2":
-        report = bench.verify_theorem2()
-    elif args.section == "depth":
-        report = bench.verify_depth_lemma(seed=args.seed)
-    else:
-        report = bench.verify_all(seed=args.seed)
+    report = _SECTIONS[args.section](args.seed)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1

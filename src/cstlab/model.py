@@ -60,7 +60,6 @@ __all__ = [
     "replace_subtree",
     "range_mask",
     "mask_of",
-    "keys_of",
     "LeastWeightOrder",
 ]
 
@@ -111,15 +110,6 @@ def mask_of(keys: Iterable[int]) -> int:
     for k in keys:
         m |= 1 << (k - 1)
     return m
-
-
-def keys_of(mask: int) -> tuple[int, ...]:
-    keys = []
-    while mask:
-        low = mask & -mask
-        keys.append(low.bit_length())
-        mask ^= low
-    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +547,15 @@ def replace_subtree(tree, path: Sequence[str], replacement):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: cost, tree, the key set actually placed, its weight."""
+    """Solver output: cost and tree.  The tree fixes the keys it places."""
 
     cost: int
     tree: object
-    used_mask: int
-    weight: int
-
-    @property
-    def used_keys(self) -> tuple[int, ...]:
-        return keys_of(self.used_mask)
 
     def holes_in(self, interval: Interval) -> tuple[int, ...]:
-        return keys_of(interval.mask() & ~self.used_mask)
+        """The keys of *interval* that the tree does not place, ascending."""
+        placed = {key for key, _, _ in _walk(self.tree)}
+        return tuple(k for k in interval.keys() if k not in placed)
 
 
 class LeastWeightOrder:
@@ -789,13 +775,8 @@ class DpTable:
         return rows
 
     def result(self, i: int, j: int, h: int) -> SolveResult:
-        cost, cost_weight, used_perm, _, _ = self._row(i, j, h)
-        return SolveResult(
-            cost=cost[h],
-            tree=self._tree(i, j, h),
-            used_mask=mask_of(self._order.key_at_rank[r - 1] for r in keys_of(used_perm[h])),
-            weight=cost_weight[h] - cost[h],
-        )
+        """The cell's cost and the tree rebuilt from its backpointers."""
+        return SolveResult(self.cost(i, j, h), self._tree(i, j, h))
 
     def choice(self, i: int, j: int, h: int) -> tuple | None:
         """The cell's backpointer (s, h1, h2, e); None at bases."""

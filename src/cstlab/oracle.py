@@ -47,7 +47,6 @@ from .model import (
 )
 
 __all__ = [
-    "BACKEND",
     "SizeLimitError",
     "GbstOracle",
     "TwcstOracle",
@@ -57,8 +56,6 @@ __all__ = [
     "depth_bound_violations",
     "eq_root_weight_ok",
 ]
-
-BACKEND = "pure"
 
 
 class SizeLimitError(RuntimeError):

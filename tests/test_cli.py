@@ -40,6 +40,33 @@ class TestSolve:
         assert "weight=97" in out
         assert "holes_used=A3,B4" in out
 
+    TWO_HOLES = ["--holes", "2"]
+    ALL_HOLES = ["--interval", "2", "4", "--holes", "3"]
+    EMPTY_TREE = ("[2,4] holes=3", "cost=0", "weight=0", "holes_used=A2,A3,B0")
+
+    @pytest.mark.parametrize(
+        "alg, argv, header",
+        [
+            ("hw", TWO_HOLES, ("[1,9] holes=2", "cost=209", "weight=97", "holes_used=A3,B4")),
+            ("exact", TWO_HOLES, ("[1,9] holes=2", "cost=209", "weight=97", "holes_used=A1,A2")),
+            ("hw", ALL_HOLES, EMPTY_TREE),
+            ("exact", ALL_HOLES, EMPTY_TREE),
+        ],
+    )
+    def test_whole_header(self, alg, argv, header, i9_file, capsys):
+        """The header's four lines, exactly; the all-holes cases solve to
+        the empty tree, which has nothing to render."""
+        base = ["solve", "--model", "gbsplit", "--alg", alg, "--instance", i9_file, *argv]
+        interval, *rest = header
+        expected = [f"model=gbsplit alg={alg} interval={interval}", *rest]
+        assert main(base) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        if argv is self.ALL_HOLES:
+            assert main([*base, "--render", "ascii"]) == 2
+            out, err = capsys.readouterr()
+            assert out.splitlines() == expected
+            assert "nothing to render" in err
+
     def test_exact_holeset(self, i9_file, capsys):
         rc = main(
             ["solve", "--model", "gbsplit", "--alg", "exact", "--instance", i9_file,

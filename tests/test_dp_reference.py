@@ -9,7 +9,7 @@ import reference_dps as ref
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable
-from cstlab.model import Interval
+from cstlab.model import Interval, mask_of, tree_weight
 from cstlab.spuler import SpulerTable
 
 TABLES = {"hw": (HwTable, ref.HwTable), "spuler": (SpulerTable, ref.SpulerTable)}
@@ -32,7 +32,10 @@ def _assert_same_cells(name, inst, interval=None):
         if name == "spuler" and choice is not None:  # ("eq", e) or ("lt", s, h1, h2)
             choice = (i, 0, h + 1, choice[1]) if choice[0] == "eq" else (*choice[1:], None)
         r = table.result(i, j, h)
-        got = (table.cost(i, j, h), r.cost, r.weight, r.used_mask, r.tree, table.choice(i, j, h))
+        iv = Interval(i, j)
+        used = iv.mask() & ~mask_of(r.holes_in(iv))
+        weight_got = tree_weight(r.tree, inst)
+        got = (table.cost(i, j, h), r.cost, weight_got, used, r.tree, table.choice(i, j, h))
         assert got == (cost, cost, weight, used_mask, tree, choice), (where, (i, j, h))
 
 

@@ -103,11 +103,13 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
     """The root length is past the cap, so its gathers are built per table;
     the winners read their (s, h1) from the table's one split map, and each
     root-interval cell's rebuilt tree is valid and has the cell's cost and
-    weight."""
+    the weight its cost + weight row stores."""
     inst = random_instance(model.LAYOUT_CACHE_MAX_LENGTH + 1, 1000, 9407)
     table = TABLES[name][0](inst)
     full = inst.full_interval()
+    cost_row, cw_row = table._rows[(1, inst.n)][:2]
     for h in range(inst.n + 1 - table.min_queries):
         r = table.result(1, inst.n, h)
         assert model.validate(r.tree, full, r.holes_in(full), inst).ok, h
-        assert (model.tree_cost(r.tree, inst), model.tree_weight(r.tree, inst)) == (r.cost, r.weight)
+        got = (model.tree_cost(r.tree, inst), model.tree_weight(r.tree, inst))
+        assert got == (r.cost, cw_row[h] - cost_row[h]), h

@@ -4,7 +4,7 @@ import pytest
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable, hw_solve
-from cstlab.model import Interval, gbst_cost, gbst_validate
+from cstlab.model import Interval, gbst_cost, gbst_validate, gbst_weight
 from cstlab.oracle import GbstOracle
 
 I9 = build_instance("I9").instance
@@ -28,7 +28,8 @@ class TestHwSolve:
         iv = I9.full_interval()
         r = hw_solve(I9, iv, 2)
         assert r.cost == gbst_cost(r.tree, I9)
-        assert r.weight == sum(I9.weight(k) for k in r.used_keys)
+        holes_weight = sum(I9.weight(k) for k in r.holes_in(iv))
+        assert gbst_weight(r.tree, I9) == sum(I9.weights) - holes_weight
         assert len(r.holes_in(iv)) == 2
 
     def test_hole_count_out_of_range(self):
@@ -37,7 +38,8 @@ class TestHwSolve:
 
     def test_all_holes_empty_tree(self):
         r = hw_solve(I9, Interval(2, 4), 3)
-        assert r.cost == 0 and r.tree is None and r.used_mask == 0
+        assert r.cost == 0 and r.tree is None
+        assert r.holes_in(Interval(2, 4)) == (2, 3, 4)
 
 
 class TestHwTable:
@@ -61,7 +63,7 @@ class TestHwTable:
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
                 assert gbst_validate(r.tree, iv, r.holes_in(iv), inst).ok
-                assert j - i + 1 - len(r.used_keys) == h
+                assert len(r.holes_in(iv)) == h
                 assert len(list(gbst_nodes(r.tree))) == j - i + 1 - h
 
     def test_matches_hw_solve(self):

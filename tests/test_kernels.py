@@ -11,10 +11,15 @@ import reference_kernels as ref
 from brute import min_gbst_cost, min_twcst_cost
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
-from cstlab.model import Instance, Interval, keys_of, range_mask
+from cstlab.model import Instance, Interval, range_mask
 from cstlab.oracle import GbstOracle, TwcstOracle
 
 SEEDS = range(64)
+
+
+def _keys_of(mask):
+    """The keys whose bits are set in *mask*, ascending (key k is bit k-1)."""
+    return tuple(k for k in range(1, mask.bit_length() + 1) if mask >> (k - 1) & 1)
 
 
 def _instance(seed):
@@ -167,7 +172,7 @@ class TestAgainstBruteForce:
         gbst = GbstOracle(inst)
         twcst = TwcstOracle(inst)
         for q in range(1 << inst.n):
-            keys = keys_of(q)
+            keys = _keys_of(q)
             assert gbst.opt_cost(full, ~q) == min_gbst_cost(inst, keys)
             if keys:
                 assert twcst.opt_cost(full, ~q) == min_twcst_cost(inst, keys)

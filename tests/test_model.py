@@ -421,7 +421,8 @@ class TestInstanceInvariants:
 
 def test_every_module_star_import_resolves():
     """Each name in a module's ``__all__`` exists, so a deletion cannot
-    leave a stale export behind."""
+    leave a stale export behind, and the package root re-exports none of
+    them: its one public name besides the submodules is ``BACKEND``."""
     import pkgutil
 
     import cstlab
@@ -430,3 +431,6 @@ def test_every_module_star_import_resolves():
     assert modules == ["bench", "cli", "falsify", "hw", "model", "oracle", "render", "spuler"]
     for name in modules:
         exec(f"from cstlab.{name} import *", {})
+    public = {name for name in dir(cstlab) if not name.startswith("_")}
+    assert public - set(modules) == {"BACKEND"}
+    assert cstlab.BACKEND == "pure"

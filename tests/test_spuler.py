@@ -3,7 +3,9 @@ import pytest
 
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
-from cstlab.model import EQ, Cmp, Instance, Interval, Leaf, twcst_cost, twcst_validate
+from cstlab.model import (
+    EQ, Cmp, Instance, Interval, Leaf, twcst_cost, twcst_validate, twcst_weight,
+)
 from cstlab.oracle import TwcstOracle
 from cstlab.spuler import SpulerTable, spuler_solve
 
@@ -30,7 +32,8 @@ class TestSpulerSolve:
         iv = I15.full_interval()
         r = spuler_solve(I15, iv, 2)
         assert r.cost == twcst_cost(r.tree, I15)
-        assert r.weight == sum(I15.weight(k) for k in r.used_keys)
+        holes_weight = sum(I15.weight(k) for k in r.holes_in(iv))
+        assert twcst_weight(r.tree, I15) == sum(I15.weights) - holes_weight
         assert twcst_validate(r.tree, iv, r.holes_in(iv), I15).ok
 
     def test_hole_count_out_of_range(self):
@@ -56,7 +59,7 @@ class TestSpulerTable:
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
                 assert twcst_validate(r.tree, iv, r.holes_in(iv), inst).ok
-                assert j - i + 1 - len(r.used_keys) == h
+                assert len(r.holes_in(iv)) == h
 
     def test_eq_candidate_structure(self):
         # Wherever an equality root was chosen, its yes branch is the leaf
