@@ -182,14 +182,6 @@ class Instance:
             return 0
         return self._prefix[j] - self._prefix[i - 1]
 
-    def mask_weight(self, mask: int) -> int:
-        total = 0
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-
     def total_weight(self) -> int:
         return self._prefix[-1]
 

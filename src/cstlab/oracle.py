@@ -4,14 +4,15 @@ The state of a subproblem is its query set Q: the keys of an (interval,
 explicit hole set) pair that are not holes.  A hole is only a key missing
 from Q, so every pair with the same Q shares one memo slot, and a split
 matters only through the gap of Q it falls in: each state tries one split
-per gap between consecutive keys of Q.  Trees are rebuilt from the
-memoized costs by walking the same gaps.  The memo is one flat list for
-the oracle's window, a run of at most ``limit`` keys, whose slot Q holds
-the cost of the query set with mask Q relative to the window's first key,
-or None; a query outside the window moves it and starts a fresh list.  The
-solvers are exponential in the interval size and refuse intervals beyond
-that limit.  They are the ground truth the dynamic programs are audited
-against.
+per gap between consecutive keys of Q.  Trees are rebuilt by walking the
+same gaps, reading only memo slots that costing Q filled (GBST computes
+g(Q) inside cost(Q); ``GbstOracle`` states the fill invariant).  The memo
+is one flat list for the oracle's window, a run of at most ``limit``
+keys, whose slot Q holds the cost of the query set with mask Q relative
+to the window's first key, or None; a query outside the window moves it
+and starts a fresh list.  The solvers are exponential in the interval
+size and refuse intervals beyond that limit.  They are the ground truth
+the dynamic programs are audited against.
 
 A whole-table audit reads opt* for every cell from ``star_rows``: one pass
 that costs each query set of the root interval once and files it under
@@ -75,14 +76,14 @@ class ExactOracle:
     A subproblem must keep ``min_queries`` keys, so opt_star's h runs over
     0..|I| - min_queries, and its interval may hold at most ``limit`` keys.
     Subclasses supply the memoized recurrence ``_cost(q)`` and
-    ``_tree(q, i)``, which rebuilds an optimal tree for Q from the memo (i
-    starts the subproblem's interval).  Both read the oracle's one window,
-    the min(n, limit) keys after ``_shift``: its weights ``w`` by relative
-    bit and the tables ``_open`` made.  A query outside the window replaces
-    it, and the old tables are dropped: the new window starts at the
-    query's first key, moved back to end at key n if need be.  So one
-    oracle serves one thread at a time.  The memo fills top-down, reaching
-    only the states the optimum needs.
+    ``_tree(q, i)``, which rebuilds an optimal tree for a costed Q from the
+    slots costing it filled (i starts the subproblem's interval).  Both
+    read the oracle's one window, the min(n, limit) keys after ``_shift``:
+    its weights ``w`` by relative bit and the tables ``_open`` made.  A
+    query outside the window replaces it, and the old tables are dropped:
+    the new window starts at the query's first key, moved back to end at
+    key n if need be.  So one oracle serves one thread at a time.  The memo
+    fills top-down, reaching only the states the optimum needs.
     """
 
     min_queries = 0
@@ -130,25 +131,26 @@ class ExactOracle:
 
     def opt_star(self, interval: Interval, h: int) -> tuple[int, object, tuple[int, ...]]:
         """Minimum over all hole sets of size h; returns the argmin set too."""
-        cost, holes = self._star_argmin(interval, h)
-        return cost, self._tree(self._query_set(interval, holes), interval.i), holes
+        cost, holes, q = self._star_argmin(interval, h)
+        return cost, self._tree(q, interval.i), holes
 
     def opt_star_cost(self, interval: Interval, h: int) -> int:
         return self._star_argmin(interval, h)[0]
 
-    def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...]]:
+    def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...], int]:
+        """opt* cost, its hole keys and its window-relative query set."""
         full = self._query_set(interval, 0)
         check_hole_count(h, interval, self.min_queries)
         memo, cost, shift = self._memo, self._cost, self._shift
-        best = best_bits = None
+        best = best_q = None
         for bits in combinations([1 << (k - 1 - shift) for k in interval.keys()], h):
             q = full - sum(bits)  # the hole bits lie inside full
             c = memo[q]
             if c is None:
                 c = cost(q)
             if best is None or c < best:
-                best, best_bits = c, bits
-        return best, tuple(b.bit_length() + shift for b in best_bits)
+                best, best_q = c, q
+        return best, tuple(b.bit_length() + shift for b in _bits(full ^ best_q)), best_q
 
     def star_rows(
         self, interval: Interval, holes_max: int | None = None
@@ -227,6 +229,10 @@ class GbstOracle(ExactOracle):
     and cost(empty) = 0.  A node tests some e and splits Q - e into a prefix
     and a suffix; cutting Q itself at one of its ends leaves one side empty
     (the g(Q) term), and cutting at an inner gap puts e on one side of it.
+    g(Q) is computed inside cost(Q), whose first loop costs every Q - e.  Q
+    minus its top (bottom) key is its longest proper prefix (suffix), so by
+    induction on |Q| a filled cost slot Q != 0 has its g slot and those of
+    all its proper prefixes and suffixes filled, and rebuilds read only these.
     """
 
     limit = 16
@@ -242,49 +248,7 @@ class GbstOracle(ExactOracle):
             return hit
         g_memo = self._g_memo
         cost = self._cost
-        g = self._g
         w = self.w
-        best = g_memo[q]
-        if best is None:
-            best = g(q)
-        total = 0
-        left = 0
-        rest = q
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            left |= low
-            total += w[low.bit_length()]
-            if rest:
-                g_left = g_memo[left]
-                if g_left is None:
-                    g_left = g(left)
-                cost_rest = memo[rest]
-                if cost_rest is None:
-                    cost_rest = cost(rest)
-                c = g_left + cost_rest
-                if c < best:
-                    best = c
-                cost_left = memo[left]
-                if cost_left is None:
-                    cost_left = cost(left)
-                g_rest = g_memo[rest]
-                if g_rest is None:
-                    g_rest = g(rest)
-                c = cost_left + g_rest
-                if c < best:
-                    best = c
-        result = total + best
-        memo[q] = result
-        return result
-
-    def _g(self, q: int) -> int:
-        g_memo = self._g_memo
-        hit = g_memo[q]
-        if hit is not None:
-            return hit
-        memo = self._memo
-        cost = self._cost
         best = None
         rest = q
         while rest:
@@ -296,12 +260,31 @@ class GbstOracle(ExactOracle):
             if best is None or c < best:
                 best = c
         g_memo[q] = best
-        return best
+        # A cost slot Q != 0 is filled iff its g slot is, and then so are all
+        # of Q's proper prefixes and suffixes, so the gap loop reads them as is.
+        total = 0
+        left = 0
+        rest = q
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            left |= low
+            total += w[low.bit_length()]
+            if rest:
+                c = g_memo[left] + memo[rest]
+                if c < best:
+                    best = c
+                c = memo[left] + g_memo[rest]
+                if c < best:
+                    best = c
+        result = total + best
+        memo[q] = result
+        return result
 
     def _eq_key(self, q: int) -> int:
         """Lowest bit of Q whose equality test attains g(Q)."""
-        target = self._g(q)
-        return next(low for low in _bits(q) if self._cost(q ^ low) == target)
+        memo, target = self._memo, self._g_memo[q]
+        return next(low for low in _bits(q) if memo[q ^ low] == target)
 
     def _tree(self, q: int, i: int) -> GbstTree:
         """The first (split s, key e) attaining cost(Q), with s ascending
@@ -311,21 +294,19 @@ class GbstOracle(ExactOracle):
         at s."""
         if not q:
             return None
-        cost = self._cost
-        g = self._g
-        shift = self._shift
-        target = cost(q) - self.inst.mask_weight(q << shift)
-        if g(q) == target:
+        memo, g_memo, w, shift = self._memo, self._g_memo, self.w, self._shift
+        target = memo[q] - sum(w[low.bit_length()] for low in _bits(q))
+        if g_memo[q] == target:
             e = self._eq_key(q)
             return gbst_join(e.bit_length() + shift, i, i, None, self._tree(q ^ e, i))
         left = q & -q
         rest = q ^ left
         while rest:
             s = left.bit_length() + 1 + shift
-            if g(left) + cost(rest) == target:
+            if g_memo[left] + memo[rest] == target:
                 e = self._eq_key(left)
                 return gbst_join(e.bit_length() + shift, s, i, self._tree(left ^ e, i), self._tree(rest, s))
-            if cost(left) + g(rest) == target:
+            if memo[left] + g_memo[rest] == target:
                 e = self._eq_key(rest)
                 return gbst_join(e.bit_length() + shift, s, i, self._tree(left, i), self._tree(rest ^ e, s))
             low = rest & -rest
@@ -397,17 +378,16 @@ class TwcstOracle(ExactOracle):
         shift = self._shift
         if q & (q - 1) == 0:
             return Leaf(q.bit_length() + shift)
-        cost = self._cost
-        w = self.w
-        target = cost(q) - self.inst.mask_weight(q << shift)
+        memo, w = self._memo, self.w
+        target = memo[q] - sum(w[low.bit_length()] for low in _bits(q))
         for low in _bits(q):
             e = low.bit_length()
-            if w[e] and cost(q ^ low) == target:
+            if w[e] and memo[q ^ low] == target:
                 return Cmp(EQ, e + shift, yes=Leaf(e + shift), no=self._tree(q ^ low))
         left = q & -q
         rest = q ^ left
         while rest:
-            if cost(left) + cost(rest) == target:
+            if memo[left] + memo[rest] == target:
                 return Cmp(LT, left.bit_length() + 1 + shift, yes=self._tree(left), no=self._tree(rest))
             low = rest & -rest
             rest ^= low

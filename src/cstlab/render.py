@@ -33,8 +33,6 @@ from .model import (
 __all__ = ["InvalidTreeError", "render_tree", "parse_ascii", "parse_tree_file",
            "derive_subproblem"]
 
-FORMATS = ("dot", "ascii", "ifelse")
-
 # A comparison as DOT/ASCII labels and tree files spell it.
 _OP_MARK = {EQ: "=", LT: "<"}
 _MARK_OP = {"=": EQ, "<": LT}
@@ -62,17 +60,14 @@ def _span(placed, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
 
 def render_tree(tree, fmt: str, inst: Instance) -> str:
     """Render a valid GBST or 2WCST tree; rejects invalid trees."""
-    if fmt not in FORMATS:
+    emit = _EMITTERS.get(fmt)
+    if emit is None:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     placed = _walk(tree)
     verdict = _verdict(tree, placed, *_span(placed, inst), inst.n)
     if not verdict:
         raise InvalidTreeError("; ".join(verdict.violations))
-    if fmt == "dot":
-        return _dot(tree, inst)
-    if fmt == "ascii":
-        return _ascii(tree, inst)
-    return _ifelse(tree, inst)
+    return emit(tree, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +140,8 @@ def parse_ascii(text: str, inst: Instance):
     """Re-parse ASCII output into a tree of the same shape.
 
     GBST split keys are not in the ASCII form, so they come back as None.
-    Text is 2WCST when any line has a ``y:``/``n:`` marker or a comparison.
+    Text is 2WCST when any line has a ``y:``/``n:`` marker or a comparison,
+    so one-line text, a lone 2WCST leaf included, parses as a GBST node.
     A child sits one level below its parent under one of its family's two
     markers, each used at most once; a comparison needs both.
     """
@@ -225,6 +221,10 @@ def _ifelse(tree, inst: Instance) -> str:
         return out
 
     return "\n".join(emit(tree)) + "\n"
+
+
+_EMITTERS = {"dot": _dot, "ascii": _ascii, "ifelse": _ifelse}
+FORMATS = tuple(_EMITTERS)
 
 
 # ---------------------------------------------------------------------------

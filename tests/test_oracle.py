@@ -306,6 +306,67 @@ class TestStarRows:
             TwcstOracle(I9).star_rows(Interval(3, 10))
 
 
+def _gaps(q):
+    """Each cut of Q into a nonempty proper prefix and the suffix after it."""
+    left, rest = 0, q
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        left |= low
+        if rest:
+            yield left, rest
+
+
+class TestFillInvariant:
+    """The recurrences and the tree rebuilds read table slots without
+    checking them, relying on what costing a query set fills."""
+
+    @staticmethod
+    def check_gbst(oracle):
+        # A cost slot Q != 0 is filled iff its g slot is, and then so are
+        # Q - e for every e and every proper prefix and suffix of Q.
+        memo, g_memo = oracle._memo, oracle._g_memo
+        for q in range(1, len(memo)):
+            assert (memo[q] is None) == (g_memo[q] is None), q
+            if memo[q] is None:
+                continue
+            for k in range(q.bit_length()):
+                assert not q >> k & 1 or memo[q ^ 1 << k] is not None, (q, k)
+            for left, rest in _gaps(q):
+                assert None not in (memo[left], g_memo[left], memo[rest], g_memo[rest]), (q, left)
+
+    @staticmethod
+    def check_twcst(oracle):
+        # A filled Q with two keys or more has Q - e filled for each
+        # positive-weight e, and every proper prefix and suffix filled.
+        memo, w = oracle._memo, oracle.w
+        for q, c in enumerate(memo):
+            if c is None or q.bit_count() < 2:
+                continue
+            for k in range(q.bit_length()):
+                assert not (q >> k & 1 and w[k + 1]) or memo[q ^ 1 << k] is not None, (q, k)
+            for left, rest in _gaps(q):
+                assert memo[left] is not None and memo[rest] is not None, (q, left)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instances(self, seed):
+        inst = random_instance(2 + seed % 11, 16, 1100 + seed)
+        full = inst.full_interval()
+        for oracle, check in ((GbstOracle(inst), self.check_gbst), (TwcstOracle(inst), self.check_twcst)):
+            oracle.opt_star(full, min(seed % 3, inst.n - oracle.min_queries))
+            check(oracle)
+            oracle.opt(full, (1,) if inst.n > 1 else ())
+            check(oracle)
+            oracle.opt(full)
+            check(oracle)
+
+    def test_i31_windows(self):
+        oracle = GbstOracle(I31)
+        for i, j in ((1, 9), (10, 16), (17, 31)):
+            oracle.opt(Interval(i, j))
+            self.check_gbst(oracle)
+
+
 class TestPlacementBound:
     def test_i31(self):
         assert placement_lower_bound(I31) == 1757
