@@ -357,11 +357,11 @@ def verify_depth_lemma(seed: int = 1) -> Report:
     checks: list[Check] = []
     add = checks.append
 
-    seqs = depth_seq(6)
-    for m, expected in enumerate((0, 3, 6, 10, 14, 18), 1):
-        add(Check(f"depth.d{m}", expected, seqs.d_at(m)))
-    for m, expected in enumerate((0, 2, 6, 9, 13, 18), 1):
-        add(Check(f"depth.e{m}", expected, seqs.e_at(m)))
+    d, e = depth_seq(6)
+    for m, (expected, actual) in enumerate(zip((0, 3, 6, 10, 14, 18), d), 1):
+        add(Check(f"depth.d{m}", expected, actual))
+    for m, (expected, actual) in enumerate(zip((0, 2, 6, 9, 13, 18), e), 1):
+        add(Check(f"depth.e{m}", expected, actual))
 
     # Any prefix subproblem with exactly four positive queries is optimally
     # solved at cost 49 / weight 22; with five, at 69 / 27.
@@ -384,7 +384,7 @@ def verify_depth_lemma(seed: int = 1) -> Report:
         full = inst.full_interval()
         for h in range(min(3, inst.n)):
             _, tree, _ = oracle.opt_star(full, h)
-            violations += len(depth_bound_violations(tree, seqs))
+            violations += len(depth_bound_violations(tree, d, e))
     add(Check("depth.random.violations", 0, violations))
     return Report(tuple(checks))
 

@@ -22,6 +22,9 @@ __all__ = ["main"]
 # The most keys `solve --alg hw|spuler` fills: an HW solve of 116 keys took
 # 50 s on a 2-core VM, and the fill is O(n^5).
 DP_KEY_LIMIT = 116
+# The largest m `depth-seq` prints: the fill is O(m^2), and m = 2000 took
+# 0.66 s on a 2-core VM.
+DEPTH_SEQ_LIMIT = 2000
 
 
 class UsageError(Exception):
@@ -226,13 +229,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_depth_seq(args) -> int:
-    if args.m < 1:
-        raise UsageError("m must be >= 1")
-    seqs = depth_seq(args.m)
-    for m in range(1, args.m + 1):
-        print(f"d[{m}]={seqs.d_at(m)}")
-    for m in range(1, args.m + 1):
-        print(f"e[{m}]={seqs.e_at(m)}")
+    if not 1 <= args.m <= DEPTH_SEQ_LIMIT:
+        raise UsageError(f"m must be in 1..{DEPTH_SEQ_LIMIT}")
+    for name, seq in zip("de", depth_seq(args.m)):
+        for m, value in enumerate(seq, 1):
+            print(f"{name}[{m}]={value}")
     return 0
 
 
@@ -263,6 +264,12 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Weights and costs of any length convert exactly for the command; the
+    # interpreter's int-str digit limit (Python >= 3.10.7) is restored after.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, SizeLimitError) as exc:
@@ -271,6 +278,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if set_digits is not None:
+            set_digits(old_digits)
 
 
 if __name__ == "__main__":

@@ -44,8 +44,7 @@ class HwTable(DpTable):
     """The HW DP over every (i, j, h) inside a root interval, h <= |I|."""
 
     def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
-        key_at_rank = self._order.key_at_rank
-        weight_at_rank = self._order.weight_at_rank
+        key_at_rank, weight_at_rank = self._key_at_rank, self._weight_at_rank
         best_cost, best_k, best_e = eq_cost, -1, eq_e
         limit = best_cost - least_w
         # Candidates run in ascending (s, h1) order, so a strict < on

@@ -60,7 +60,6 @@ __all__ = [
     "replace_subtree",
     "range_mask",
     "mask_of",
-    "LeastWeightOrder",
 ]
 
 
@@ -249,8 +248,11 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"negative weight {weight_text}", lineno)
         if len(weight_text) > 1 and weight_text[0] == "0":
             raise ParseError(f"leading zero in weight {weight_text!r}", lineno)
-        weight = int(weight_text)
-        key = natural_key(label)
+        try:
+            weight = int(weight_text)
+            key = natural_key(label)
+        except ValueError as exc:  # a digit run over Python's int-str limit
+            raise ParseError(str(exc), lineno) from None
         if prev_key is not None:
             if key == prev_key or label in seen:
                 raise ParseError(f"duplicate label {label!r}", lineno)
@@ -534,7 +536,7 @@ def replace_subtree(tree, path: Sequence[str], replacement):
 
 
 # ---------------------------------------------------------------------------
-# Solver output and least-weight key selection
+# Solver output
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -548,30 +550,6 @@ class SolveResult:
         """The keys of *interval* that the tree does not place, ascending."""
         placed = {key for key, _, _ in _walk(self.tree)}
         return tuple(k for k in interval.keys() if k not in placed)
-
-
-class LeastWeightOrder:
-    """Keys ranked by ascending (weight, index), for least-weight selection.
-
-    A key set is encoded as a rank-permuted mask, bit r standing for the key
-    of rank r, so a least-weight key of any set is its lowest set bit: for a
-    nonempty mask m it is ``key_at_rank[(m & -m).bit_length() - 1]``, of
-    weight ``weight_at_rank[...]`` at the same rank.  ``bit[k]`` is key k's
-    bit (``bit[0]`` is unused).
-    """
-
-    def __init__(self, inst: Instance):
-        order = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
-        self.key_at_rank = tuple(order)
-        self.weight_at_rank = tuple(inst.weight(k) for k in order)
-        bits = [0] * (inst.n + 1)
-        for rank, key in enumerate(order):
-            bits[key] = 1 << rank
-        self.bit = tuple(bits)
-
-    def interval_perm(self, i: int, j: int) -> int:
-        """The permuted mask of keys i..j (their bits are distinct)."""
-        return sum(self.bit[i : j + 1])
 
 
 def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
@@ -638,11 +616,13 @@ class DpTable:
     0..|I| - min_queries.  ``_fill`` writes the table's one store:
     ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, five
     lists indexed by h, namely the cost, the cost + weight, ``used_perm``
-    (the keys placed, as a permuted mask of :class:`LeastWeightOrder`), the
-    backpointer (None at the base) and ``free``, the rank of the
-    least-weight key of [i, j] that the cell leaves unplaced (n when it
-    places every key).  No tree is stored: ``result`` rebuilds one from the
-    backpointers through the subclass's ``_tree(i, j, h)``.
+    (the keys placed, as a rank mask), the backpointer (None at the base)
+    and ``free``, the rank of the least-weight key of [i, j] that the cell
+    leaves unplaced (n when it places every key).  The table ranks its keys
+    by (weight, index) and keeps the encoding: ``_key_at_rank``,
+    ``_weight_at_rank`` and ``_bit``, key k's rank bit.  No tree is stored:
+    ``result`` rebuilds one from the backpointers through the subclass's
+    ``_tree(i, j, h)``.
 
     Both DPs share one fill.  Intervals run by ascending length.  The base
     h = |I| - min_queries is the empty tree (cost 0) when no key need stay,
@@ -678,7 +658,14 @@ class DpTable:
             raise ValueError("root interval must be nonempty")
         self.inst = inst
         self.interval = interval
-        self._order = LeastWeightOrder(inst)
+        # Bit r of a rank mask stands for the key of rank r, so the
+        # least-weight key of a set is its mask's lowest bit.
+        order = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
+        self._key_at_rank = tuple(order)
+        self._weight_at_rank = tuple(inst.weight(k) for k in order)
+        self._bit = bit = [0] * (inst.n + 1)
+        for rank, key in enumerate(order):
+            bit[key] = 1 << rank
         self._rows: dict[tuple[int, int], tuple[list, list, list, list, list]] = {}
         self._fill()
 
@@ -698,10 +685,7 @@ class DpTable:
 
     def _fill(self) -> None:
         m = self.min_queries
-        order = self._order
-        key_at_rank = order.key_at_rank
-        weight_at_rank = order.weight_at_rank
-        bit = order.bit
+        key_at_rank, weight_at_rank, bit = self._key_at_rank, self._weight_at_rank, self._bit
         best_split = self._best_split
         lo, hi = self.interval.i, self.interval.j
         rows = self._rows
@@ -714,7 +698,7 @@ class DpTable:
             size = length + 1 - m
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
-                iv_perm = order.interval_perm(i, j)
+                iv_perm = sum(bit[i : j + 1])
                 least = (iv_perm & -iv_perm).bit_length() - 1
                 cw_l, cw_r, free_l, free_r = [], [], [], []
                 for s in range(i + 1, j + 1):

@@ -27,7 +27,6 @@ nearly-separated query sets in any valid 2WCST.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
@@ -52,7 +51,6 @@ __all__ = [
     "GbstOracle",
     "TwcstOracle",
     "placement_lower_bound",
-    "DepthSeq",
     "depth_seq",
     "depth_bound_violations",
     "eq_root_weight_ok",
@@ -424,40 +422,21 @@ def placement_lower_bound(inst: Instance) -> int:
 # Depth sequences and structural bounds for 2WCST trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DepthSeq:
-    """Lower bounds on total leaf depth: d for separated query sets of size
-    m, e for nearly separated ones.  Entry index 0 holds m = 1; ``d_at`` and
-    ``e_at`` raise ValueError for m outside 1..len."""
-
-    d: tuple[int, ...]
-    e: tuple[int, ...]
-
-    def d_at(self, m: int) -> int:
-        return self._at(self.d, m)
-
-    def e_at(self, m: int) -> int:
-        return self._at(self.e, m)
-
-    @staticmethod
-    def _at(seq: tuple[int, ...], m: int) -> int:
-        if not 1 <= m <= len(seq):
-            raise ValueError(f"m = {m} out of range 1..{len(seq)}")
-        return seq[m - 1]
-
-
-def depth_seq(m_max: int) -> DepthSeq:
-    """Sequences d_m = m + min(d_i + d_{m-i}) and e_m = m + min(d_i + e_{m-i})
-    with bases d_1 = 0, d_2 = 3, e_1 = 0, e_2 = 2, e_3 = 6."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+def depth_seq(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower bounds on total leaf depth for query sets of sizes 1..*m*, as
+    the tuples (d, e): ``d[k - 1]`` = d_k for separated sets of size k and
+    ``e[k - 1]`` = e_k for nearly separated ones, where
+    d_k = k + min(d_i + d_{k-i}) and e_k = k + min(d_i + e_{k-i}), with
+    bases d_1 = 0, d_2 = 3, e_1 = 0, e_2 = 2, e_3 = 6."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     d = [0, 3]
-    for m in range(3, m_max + 1):
-        d.append(m + min(d[i - 1] + d[m - i - 1] for i in range(1, m)))
+    for k in range(3, m + 1):
+        d.append(k + min(d[i - 1] + d[k - i - 1] for i in range(1, k)))
     e = [0, 2, 6]
-    for m in range(4, m_max + 1):
-        e.append(m + min(d[i - 1] + e[m - i - 1] for i in range(1, m)))
-    return DepthSeq(tuple(d[:m_max]), tuple(e[:m_max]))
+    for k in range(4, m + 1):
+        e.append(k + min(d[i - 1] + e[k - i - 1] for i in range(1, k)))
+    return tuple(d[:m]), tuple(e[:m])
 
 
 def _nearly_separated(gaps: list[int]) -> bool:
@@ -474,22 +453,19 @@ def _nearly_separated(gaps: list[int]) -> bool:
     return False
 
 
-def depth_bound_violations(
-    tree: TwcstTree, seqs: DepthSeq, m_max: int = 6
-) -> list[str]:
-    """Check every query subset of size <= m_max against the depth bounds.
+def depth_bound_violations(tree: TwcstTree, d: tuple, e: tuple) -> list[str]:
+    """Check every query subset of size m <= min(len(d), len(e)) against
+    the depth bounds of :func:`depth_seq`.
 
-    Separated subsets must have total leaf depth >= d_m, nearly separated
-    ones >= e_m.  Returns human-readable violations (empty when all hold).
-    Raises ValueError when *seqs* is shorter than m_max.
+    Separated subsets must have total leaf depth >= d[m - 1], nearly
+    separated ones >= e[m - 1].  Returns human-readable violations (empty
+    when all hold).
     """
-    if m_max > min(len(seqs.d), len(seqs.e)):
-        raise ValueError(f"m_max {m_max} exceeds the depth sequences' length")
     depths = {key: charge for key, charge, _ in _walk(tree)}
     queries = sorted(depths)
     charges = [depths[key] for key in queries]
     violations = []
-    for m in range(2, min(m_max, len(queries)) + 1):
+    for m in range(2, min(len(d), len(e), len(queries)) + 1):
         # Subsets as positions in *queries*, so that b - a - 1 queries lie
         # strictly between members at positions a < b.
         for at in combinations(range(len(queries)), m):
@@ -497,9 +473,9 @@ def depth_bound_violations(
             # Separators must be queries outside the subset, and every
             # query strictly between two adjacent members qualifies.
             if 0 not in gaps:
-                kind, name, bound = "separated", "d", seqs.d_at(m)
+                kind, name, bound = "separated", "d", d[m - 1]
             elif _nearly_separated(gaps):
-                kind, name, bound = "nearly separated", "e", seqs.e_at(m)
+                kind, name, bound = "nearly separated", "e", e[m - 1]
             else:
                 continue
             total = sum(charges[p] for p in at)

@@ -9,7 +9,8 @@ queries between two members, by bisecting the sorted queries;
 ``test_oracle.py`` requires the position arithmetic that replaced it to
 give the same lists.
 
-Kept verbatim apart from the imports.
+Kept verbatim apart from the imports and the depth sequences, which are
+passed as the tuples (d, e) of ``cstlab.oracle.depth_seq``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from cstlab.model import (
     Verdict,
     _walk,
 )
-from cstlab.oracle import DepthSeq
 
 __all__ = [
     "gbst_nodes",
@@ -254,17 +254,15 @@ def _nearly_separated(subset: tuple[int, ...], between) -> bool:
     return False
 
 
-def depth_bound_violations(
-    tree: TwcstTree, seqs: DepthSeq, m_max: int = 6
-) -> list[str]:
-    """Check every query subset of size <= m_max against the depth bounds.
+def depth_bound_violations(tree: TwcstTree, d: tuple, e: tuple) -> list[str]:
+    """Check every query subset of size m <= min(len(d), len(e)) against
+    the depth bounds.
 
-    Separated subsets must have total leaf depth >= d_m, nearly separated
-    ones >= e_m.  Returns human-readable violations (empty when all hold).
-    Raises ValueError when *seqs* is shorter than m_max.
+    Separated subsets must have total leaf depth >= d[m - 1], nearly
+    separated ones >= e[m - 1].  Returns human-readable violations (empty
+    when all hold).
     """
-    if m_max > min(len(seqs.d), len(seqs.e)):
-        raise ValueError(f"m_max {m_max} exceeds the depth sequences' length")
+    m_max = min(len(d), len(e))
     depths = {key: charge for key, charge, _ in _walk(tree)}
     queries = sorted(depths)
     between = _between_counter(queries)
@@ -273,13 +271,13 @@ def depth_bound_violations(
         for subset in combinations(queries, m):
             total = sum(depths[k] for k in subset)
             if _separated(subset, between):
-                if total < seqs.d_at(m):
+                if total < d[m - 1]:
                     violations.append(
-                        f"separated {subset}: total depth {total} < d_{m}={seqs.d_at(m)}"
+                        f"separated {subset}: total depth {total} < d_{m}={d[m - 1]}"
                     )
             elif _nearly_separated(subset, between):
-                if total < seqs.e_at(m):
+                if total < e[m - 1]:
                     violations.append(
-                        f"nearly separated {subset}: total depth {total} < e_{m}={seqs.e_at(m)}"
+                        f"nearly separated {subset}: total depth {total} < e_{m}={e[m - 1]}"
                     )
     return violations

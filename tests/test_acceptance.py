@@ -107,10 +107,10 @@ def test_criterion_3_theorem2():
 
 
 def test_criterion_4_depth_sequences():
-    seqs = depth_seq(6)
-    assert seqs.d == (0, 3, 6, 10, 14, 18)
-    assert seqs.d_at(3) == 6 and seqs.d_at(4) == 10 and seqs.d_at(5) == 14
-    assert seqs.e_at(4) == 9 and seqs.e_at(5) == 13 and seqs.e_at(6) == 18
+    d, e = depth_seq(6)
+    assert d == (0, 3, 6, 10, 14, 18)
+    assert d[2] == 6 and d[3] == 10 and d[4] == 14
+    assert e[3] == 9 and e[4] == 13 and e[5] == 18
     _report(4, "depth sequences d/e")
 
 
@@ -128,7 +128,7 @@ def test_criterion_5_lemma_constants():
 
 def test_criterion_6_property_suite():
     t0 = time.perf_counter()
-    seqs = depth_seq(6)
+    d, e = depth_seq(6)
     trials = 1000
     for t in range(trials):
         n = 1 + t % 8
@@ -178,7 +178,7 @@ def test_criterion_6_property_suite():
                     prev = cost
                     if i == 1 and j == n:
                         assert eq_root_weight_ok(tree, inst)  # (e)
-                        assert depth_bound_violations(tree, seqs, 6) == []  # (f)
+                        assert depth_bound_violations(tree, d, e) == []  # (f)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0, f"property suite took {elapsed:.1f}s"

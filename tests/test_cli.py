@@ -2,6 +2,7 @@
 import contextlib
 import io
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstlab.bench import build_instance
-from cstlab.cli import DP_KEY_LIMIT, main
-from cstlab.model import DpTable, format_instance
+from cstlab import cli
+from cstlab.cli import DEPTH_SEQ_LIMIT, DP_KEY_LIMIT, main
+from cstlab.model import DpTable, ParseError, format_instance, parse_instance
 from cstlab.render import FORMATS
 
 
@@ -358,6 +360,32 @@ class TestOtherCommands:
     def test_depth_seq_bad_m(self):
         assert main(["depth-seq", "0"]) == 2
 
+    def test_depth_seq_above_the_limit_exits_2_without_computing(self, monkeypatch, capsys):
+        def refuse(m):
+            raise AssertionError(f"depth_seq({m}) called above the limit")
+
+        monkeypatch.setattr(cli, "depth_seq", refuse)
+        assert main(["depth-seq", str(DEPTH_SEQ_LIMIT + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"1..{DEPTH_SEQ_LIMIT}" in err
+
+    def test_depth_seq_at_the_limit(self, capsys):
+        assert main(["depth-seq", str(DEPTH_SEQ_LIMIT)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 * DEPTH_SEQ_LIMIT
+
+    def test_depth_seq_300_follows_the_recurrence(self, capsys):
+        top = 300
+        d = {1: 0, 2: 3}
+        e = {1: 0, 2: 2, 3: 6}
+        for m in range(3, top + 1):
+            d[m] = m + min(d[i] + d[m - i] for i in range(1, m))
+        for m in range(4, top + 1):
+            e[m] = m + min(d[i] + e[m - i] for i in range(1, m))
+        expected = [f"d[{m}]={d[m]}" for m in range(1, top + 1)]
+        expected += [f"e[{m}]={e[m]}" for m in range(1, top + 1)]
+        assert main(["depth-seq", str(top)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
     def test_render_command(self, i9_file, tmp_path, capsys):
         tree_file = tmp_path / "tree.txt"
         tree_file.write_text("gbsplit\n(A2:D0 (A1:C0 B0 C0) (D1:E0 D0 E0))\n")
@@ -404,6 +432,60 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestLongIntegers:
+    """Weights and costs longer than Python's default int-str conversion
+    limit (4300 digits) parse and print exactly, and the limit is back in
+    force once ``main`` returns."""
+
+    @pytest.fixture
+    def restores_digit_limit(self):
+        get = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = get()
+        yield
+        assert get() == before
+
+    def test_5000_digit_weight(self, tmp_path, capsys, restores_digit_limit):
+        path = tmp_path / "long.txt"
+        path.write_text(f"A {'1' * 5000}\n")
+        assert main(["bound", "--placement", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == f"placement_bound={'1' * 5000}\n"
+        argv = ["solve", "--model", "gbsplit", "--alg", "hw", "--instance", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"cost={'1' * 5000}", f"weight={'1' * 5000}", "holes_used="
+        ]
+
+    def test_bound_over_4300_digits(self, tmp_path, capsys, restores_digit_limit):
+        # 100 keys of weight w = 10^4299 - 1: the bound is 580 w, as the
+        # slot depths of ranks 1..100 sum to 580.
+        path = tmp_path / "wide.txt"
+        path.write_text("".join(f"K{k:03d} {'9' * 4299}\n" for k in range(100)))
+        assert main(["bound", "--placement", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == f"placement_bound=579{'9' * 4296}420\n"
+
+    def test_cost_over_4300_digits(self, tmp_path, capsys, restores_digit_limit):
+        # Two keys of weight w = 10^4300 - 1: cost 3w, weight 2w.
+        path = tmp_path / "two.txt"
+        path.write_text(f"A {'9' * 4300}\nB {'9' * 4300}\n")
+        argv = ["solve", "--model", "gbsplit", "--alg", "hw", "--instance", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:3] == [
+            f"cost=2{'9' * 4299}7", f"weight=1{'9' * 4299}8"
+        ]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "line", [f"B {'1' * 5000}", f"K{'1' * 5000} 1"], ids=["weight", "label"]
+    )
+    def test_parse_error_not_value_error(self, line):
+        """A weight or a label digit run past the limit is a ParseError
+        naming its line, the error type the CLI maps to exit 3."""
+        with pytest.raises(ParseError, match="^line 2: .*5000 digits"):
+            parse_instance(f"A 1\n{line}\n")
 
 
 def _exit_code(argv):

@@ -8,7 +8,7 @@ import pytest
 from cstlab import model
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
-from cstlab.model import Interval, LeastWeightOrder
+from cstlab.model import Interval
 from test_dp_reference import SEEDS_PER_WMAX, TABLES, _assert_same_cells
 
 
@@ -33,12 +33,16 @@ def test_free_is_the_least_unplaced_rank(name):
     and the sentinel n exactly when the cell places every key."""
     for inst, interval in _reference_seeds():
         table = TABLES[name][0](inst, interval)
-        order = LeastWeightOrder(inst)
+        # Rank r is the r-th key by ascending (weight, index).
+        by_weight = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
+        rank_of = {key: rank for rank, key in enumerate(by_weight)}
         for (i, j), (_, _, used_perm, _, free) in table._rows.items():
             assert len(free) == len(used_perm)
             for h, placed in enumerate(used_perm):
-                unplaced = order.interval_perm(i, j) & ~placed
-                want = (unplaced & -unplaced).bit_length() - 1 if unplaced else inst.n
+                unplaced = [
+                    rank_of[k] for k in range(i, j + 1) if not placed >> rank_of[k] & 1
+                ]
+                want = min(unplaced, default=inst.n)
                 assert free[h] == want, (name, inst.weights, (i, j, h))
 
 

@@ -15,7 +15,6 @@ from cstlab.model import (
     twcst_validate,
 )
 from cstlab.oracle import (
-    DepthSeq,
     GbstOracle,
     SizeLimitError,
     TwcstOracle,
@@ -386,54 +385,47 @@ class TestPlacementBound:
 
 class TestDepthSeq:
     def test_d_values(self):
-        assert depth_seq(5).d == (0, 3, 6, 10, 14)
+        assert depth_seq(5)[0] == (0, 3, 6, 10, 14)
 
     def test_e_values(self):
-        assert depth_seq(6).e == (0, 2, 6, 9, 13, 18)
+        assert depth_seq(6)[1] == (0, 2, 6, 9, 13, 18)
 
     def test_d1(self):
-        assert depth_seq(1).d == (0,)
+        assert depth_seq(1)[0] == (0,)
 
     def test_bases_fixed(self):
-        seqs = depth_seq(3)
-        assert seqs.d_at(1) == 0 and seqs.d_at(2) == 3
-        assert seqs.e_at(1) == 0 and seqs.e_at(2) == 2 and seqs.e_at(3) == 6
+        d, e = depth_seq(3)
+        assert d[0] == 0 and d[1] == 3
+        assert e[0] == 0 and e[1] == 2 and e[2] == 6
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             depth_seq(0)
 
-    @pytest.mark.parametrize("m", [0, -1, 7])
-    def test_lookup_outside_the_sequence_raises(self, m):
-        seqs = depth_seq(6)
-        for at in (seqs.d_at, seqs.e_at):
-            with pytest.raises(ValueError, match="out of range 1..6"):
-                at(m)
-
 
 class TestDepthBounds:
     def test_optimal_trees_meet_bounds(self):
-        seqs = depth_seq(6)
+        d, e = depth_seq(6)
         for seed in range(30):
             inst = random_instance(4 + seed % 5, 8, 400 + seed)
             oracle = TwcstOracle(inst)
             full = inst.full_interval()
             for h in range(min(3, inst.n)):
                 _, tree, _ = oracle.opt_star(full, h)
-                assert depth_bound_violations(tree, seqs, 6) == []
+                assert depth_bound_violations(tree, d, e) == []
 
     def test_bounds_hold_even_for_suboptimal_trees(self):
         # The bounds constrain every valid tree, not just optimal ones.
         from cstlab.model import Cmp, Leaf, LT
 
-        seqs = depth_seq(6)
+        d, e = depth_seq(6)
         tree = Cmp(
             LT,
             2,
             yes=Leaf(1),
             no=Cmp(LT, 3, yes=Leaf(2), no=Cmp(LT, 4, yes=Leaf(3), no=Cmp(LT, 5, yes=Leaf(4), no=Leaf(5)))),
         )
-        assert depth_bound_violations(tree, seqs, 6) == []
+        assert depth_bound_violations(tree, d, e) == []
 
     def test_checker_reports_violations(self):
         # Inflated bounds must trip the checker: it is the detection path
@@ -442,8 +434,8 @@ class TestDepthBounds:
         from cstlab.model import Cmp, Leaf, LT
 
         tree = Cmp(LT, 2, yes=Leaf(1), no=Cmp(LT, 3, yes=Leaf(2), no=Leaf(3)))
-        inflated = DepthSeq((0, 99, 99, 99, 99, 99), (0, 99, 99, 99, 99, 99))
-        assert depth_bound_violations(tree, inflated, 6) != []
+        inflated = (0, 99, 99, 99, 99, 99)
+        assert depth_bound_violations(tree, inflated, inflated) != []
 
     def test_violation_lists_match_the_reference(self):
         """Position arithmetic gives the lists that bisecting the sorted
@@ -453,7 +445,7 @@ class TestDepthBounds:
         from cstlab.spuler import SpulerTable
 
         true = depth_seq(6)
-        inflated = DepthSeq(tuple(d + 3 for d in true.d), tuple(e + 3 for e in true.e))
+        inflated = tuple(tuple(b + 3 for b in seq) for seq in true)
         nonempty = 0
         for seed in range(12):
             inst = random_instance(3 + seed % 8, 16, 700 + seed)
@@ -463,20 +455,10 @@ class TestDepthBounds:
             trees += [oracle.opt_star(inst.full_interval(), h)[1] for h in range(inst.n)]
             for tree in trees:
                 for seqs in (true, inflated):
-                    got = depth_bound_violations(tree, seqs, 6)
-                    assert got == reference(tree, seqs, 6), (seed, tree)
+                    got = depth_bound_violations(tree, *seqs)
+                    assert got == reference(tree, *seqs), (seed, tree)
                     nonempty += bool(got)
         assert nonempty > 100
-
-    @pytest.mark.parametrize("leaves", [8, 14])
-    def test_m_max_beyond_the_sequences_is_rejected(self, leaves):
-        from cstlab.model import Cmp, Leaf, LT
-
-        tree = Leaf(leaves)
-        for k in range(leaves - 1, 0, -1):
-            tree = Cmp(LT, k + 1, yes=Leaf(k), no=tree)
-        with pytest.raises(ValueError, match="m_max 7"):
-            depth_bound_violations(tree, depth_seq(6), 7)
 
     def test_eq_root_weight_bound(self):
         for seed in range(30):
