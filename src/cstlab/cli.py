@@ -213,8 +213,6 @@ def _cmd_fuzz(args) -> int:
     report = falsify.campaign(cfg)
     for line in report.summary_lines():
         print(line)
-    for refusal in report.oracle_refusals:
-        print(f"# {refusal}", file=sys.stderr)
     if args.fail_on_discrepancy and report.discrepancies:
         return 1
     return 0

@@ -35,7 +35,7 @@ under e with :func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
 
-from .model import DpTable, GbstTree, Instance, Interval, SolveResult, gbst_join
+from .model import DpTable, GbstTree, gbst_join
 
 __all__ = ["HwTable", "hw_solve"]
 
@@ -69,6 +69,4 @@ class HwTable(DpTable):
         return gbst_join(e, s, i, self._tree(i, s - 1, h1), self._tree(s, j, h2))
 
 
-def hw_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:
-    """Run the DP for one (interval, hole count) subproblem."""
-    return HwTable.solve(inst, interval, h)
+hw_solve = HwTable.solve

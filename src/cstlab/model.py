@@ -307,10 +307,8 @@ def gbst_join(e: int, s: int, i: int, left: GbstTree, right: GbstTree) -> GbstNo
     """
     if left is None and right is None:
         return GbstNode(e)
-    if right is None:
-        return GbstNode(e, split=i, right=left)
-    if left is None:
-        return GbstNode(e, split=i, right=right)
+    if left is None or right is None:
+        return GbstNode(e, split=i, right=left or right)
     return GbstNode(e, split=s, left=left, right=right)
 
 
@@ -379,10 +377,10 @@ def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
     One pass, O(nodes), on an explicit stack for trees of any depth.  Each
     entry carries the routing bounds [lo, hi) of the values that reach it:
     a split or ``<`` test narrows them, an ``=`` test's yes branch narrows
-    them to its key, and its no branch excludes the key (as a GBST node's
-    children exclude its equality key) until the walk leaves the branch.
-    Below a split-less GBST node the bounds stay at that node's.  A node
-    not of the root's family raises TypeError.
+    them to its key, and its no branch excludes the key until the walk
+    leaves it (a GBST key repeated below its node is placed twice, which the
+    verdict reports).  Below a split-less GBST node the bounds stay at that
+    node's.  A node not of the root's family raises TypeError.
     """
     if tree is None:
         return []
@@ -401,7 +399,7 @@ def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
         kind = type(node)
         if kind is GbstNode and gbst:
             key, left, right, split = node.eq, node.left, node.right, node.split
-            if not (lo <= key < hi and key not in excluded):
+            if not lo <= key < hi:
                 placed.append((key, charge, "does not reach its node"))
             elif stuck is not None:
                 placed.append((key, charge, f"stuck at node {stuck} (no split key)"))
@@ -409,9 +407,6 @@ def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
                 placed.append((key, charge, None))
             if left is None and right is None:
                 continue
-            if key not in excluded:
-                excluded.add(key)
-                stack.append(key)
             if stuck is None and split is None:
                 stuck = key
             charge += 1

@@ -201,26 +201,33 @@ def parse_ascii(text: str, inst: Instance):
 
 def _ifelse(tree, inst: Instance) -> str:
     label = inst.label
+    # Each line's depth, then its text; indents are made at the join, as held
+    # indent strings or pair tuples would swell a failing too-deep render.
+    lines: list = []
+    add = lines.extend
 
-    def emit(node) -> list[str]:
-        if type(node) is GbstNode:
+    def emit(node, depth: int) -> None:
+        if node is None:  # the empty side of a one-child GBST node
+            add((depth, "unreachable"))
+            return
+        if type(node) is GbstNode and (node.left is not None or node.right is not None):
             eq = label(node.eq)
-            if node.left is None and node.right is None:
-                return [f"return {eq}"]
-            out = [f"if (x == {eq}) return {eq}", f"if (x < {label(node.split)}) {{"]
+            add((depth, f"if (x == {eq}) return {eq}", depth, f"if (x < {label(node.split)}) {{"))
             first, second = node.left, node.right
         elif type(node) is Cmp:
-            out = [f"if (x {'==' if node.op == EQ else '<'} {label(node.key)}) {{"]
+            add((depth, f"if (x {'==' if node.op == EQ else '<'} {label(node.key)}) {{"))
             first, second = node.yes, node.no
         else:
-            return [f"return {label(node.key)}"]
-        out.extend(["  " + line for line in emit(first)] if first is not None else ["  unreachable"])
-        out.append("} else {")
-        out.extend(["  " + line for line in emit(second)] if second is not None else ["  unreachable"])
-        out.append("}")
-        return out
+            add((depth, f"return {label(node.eq if type(node) is GbstNode else node.key)}"))
+            return
+        emit(first, depth + 1)
+        add((depth, "} else {"))
+        emit(second, depth + 1)
+        add((depth, "}"))
 
-    return "\n".join(emit(tree)) + "\n"
+    emit(tree, 0)
+    pairs = iter(lines)
+    return "".join(f"{'  ' * depth}{text}\n" for depth, text in zip(pairs, pairs))
 
 
 _EMITTERS = {"dot": _dot, "ascii": _ascii, "ifelse": _ifelse}

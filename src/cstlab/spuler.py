@@ -33,10 +33,7 @@ from .model import (
     LT,
     Cmp,
     DpTable,
-    Instance,
-    Interval,
     Leaf,
-    SolveResult,
     TwcstTree,
 )
 
@@ -69,6 +66,4 @@ class SpulerTable(DpTable):
         return Cmp(EQ, e, yes=Leaf(e), no=self._tree(i, j, h2))
 
 
-def spuler_solve(inst: Instance, interval: Interval, h: int) -> SolveResult:
-    """Run the DP for one (interval, hole count) subproblem."""
-    return SpulerTable.solve(inst, interval, h)
+spuler_solve = SpulerTable.solve

@@ -151,6 +151,22 @@ class TestCampaign:
         assert found
         assert parse_instance(format_instance(found[0].instance)) == i15
 
+    @pytest.mark.parametrize("holes_max", [None, 0, 1, "n + 3"])
+    def test_checked_cells_are_the_cells_within_holes_max(self, holes_max):
+        def config(model: str, n: int, trial_n: int) -> tuple[CampaignConfig, int]:
+            limit = n + 3 if holes_max == "n + 3" else holes_max
+            cells = MODELS[model].table(random_instance(n, 16, 0)).cells()
+            want = sum(1 for _, _, h in cells if limit is None or h <= limit)
+            cfg = CampaignConfig(model, n_min=trial_n, n_max=trial_n, trials=1, holes_max=limit)
+            return cfg, want
+
+        # I15 is injected before one one-key trial, whose one cell has h = 0.
+        cfg, want = config(TWCST, 15, 1)
+        i15 = InjectedCase("I15", build_instance("I15").instance)
+        assert campaign(cfg, injected=(i15,)).checked_cells == want + 1
+        cfg, want = config(GBSPLIT, 10, 10)
+        assert campaign(cfg).checked_cells == want
+
     def test_mutant_counterexample_found_by_sweeps(self):
         # Harness discovery, frozen as a regression: raising the I15
         # pattern's third weight from 0 to 1 moves the bad cell to a 14-key

@@ -201,6 +201,13 @@ class TestGbstValidate:
         assert not verdict.ok
         assert any("no split key" in v for v in verdict.violations)
 
+    def test_repeated_ancestor_key_is_only_a_duplicate(self):
+        # Key 2 sits at the root and again below it: the key-set violation
+        # is the whole verdict, with no search line for either copy.
+        tree = GbstNode(2, split=2, left=GbstNode(1), right=GbstNode(3, split=2, right=GbstNode(2)))
+        verdict = gbst_validate(tree, Interval(1, 3), (), I9)
+        assert verdict.violations == ("duplicate equality key 2",)
+
 
 class TestTwcstCost:
     I8 = Instance(tuple(f"K{i}" for i in range(1, 9)), (7, 5, 0, 5, 0, 5, 0, 5))
@@ -251,6 +258,15 @@ class TestTwcstValidate:
         verdict = twcst_validate(tree, Interval(1, 2), (), self.I3)
         assert not verdict.ok
         assert any("duplicate" in v for v in verdict.violations)
+
+    def test_leaf_under_its_own_equality_no_branch(self):
+        # The no branch of "= 2" narrows no bounds but excludes key 2.
+        tree = Cmp(LT, 3, yes=Cmp(EQ, 2, yes=Leaf(1), no=Leaf(2)), no=Leaf(3))
+        verdict = twcst_validate(tree, Interval(1, 3), (), self.I3)
+        assert verdict.violations == (
+            "search for 1 does not reach its leaf",
+            "search for 2 does not reach its leaf",
+        )
 
 
 class TestOrderProperty:

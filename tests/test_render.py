@@ -1,7 +1,10 @@
 """Renderers: determinism, round-trips, rejection of invalid trees."""
+import tracemalloc
+
 import pytest
 
 import reference_exhibits
+import reference_render
 from cstlab.bench import build_instance, exhibit
 from cstlab.model import (
     EQ,
@@ -82,6 +85,25 @@ class TestDot:
         assert 'label=">= ' in text
 
 
+def chain_instance(depth: int) -> Instance:
+    return Instance(tuple(f"K{k:04d}" for k in range(1, depth + 1)), tuple(k % 5 for k in range(depth)))
+
+
+def gbst_chain(depth: int) -> GbstNode:
+    # Node k tests key k and sends every larger key right, under split k+1.
+    node = GbstNode(depth)
+    for k in range(depth - 1, 0, -1):
+        node = GbstNode(k, split=k + 1, right=node)
+    return node
+
+
+def eq_cascade(depth: int) -> Cmp:
+    node = Leaf(depth)
+    for k in range(depth - 1, 0, -1):
+        node = Cmp(EQ, k, yes=Leaf(k), no=node)
+    return node
+
+
 class TestIfElse:
     def test_leaf(self):
         inst = Instance(("k",), (1,))
@@ -101,6 +123,28 @@ class TestIfElse:
         text = render_tree(exhibit("fig2_a", I9), "ifelse", I9)
         assert "if (x == A2) return A2" in text
         assert "if (x < D0) {" in text
+
+    @pytest.mark.parametrize("build", [gbst_chain, eq_cascade])
+    def test_deep_trees_match_the_reference(self, build):
+        inst, tree = chain_instance(300), build(300)
+        text = render_tree(tree, "ifelse", inst)
+        assert text == reference_render.render_tree(tree, "ifelse", inst)
+        assert f"{'  ' * 299}return K0300\n" in text
+
+    def test_too_deep_chain_fails_with_little_memory(self):
+        # One frame per level, and each line held as its depth and text: the
+        # failed render peaks near 0.73 MB, against 5.4 MB when every line
+        # is held with its indent.
+        inst, tree = chain_instance(1500), gbst_chain(1500)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with pytest.raises(RecursionError):
+                render_tree(tree, "ifelse", inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6
 
 
 class TestValidityGate:
