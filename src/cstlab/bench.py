@@ -25,7 +25,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
-from .falsify import TWCST, audit_subproblems, random_instance
+from .falsify import TWCST, Check, audit_subproblems, random_instance
 from .hw import hw_solve
 from .model import (
     GbstNode,
@@ -47,7 +47,6 @@ from .render import parse_tree_file
 from .spuler import spuler_solve
 
 __all__ = [
-    "Check",
     "Report",
     "NamedInstance",
     "INSTANCE_NAMES",
@@ -67,21 +66,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    expected: int
-    actual: int
-
-    @property
-    def passed(self) -> bool:
-        return self.expected == self.actual
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.name}: expected={self.expected} actual={self.actual} status={status}"
-
 
 @dataclass(frozen=True)
 class Report:

@@ -36,6 +36,7 @@ __all__ = [
     "MODELS",
     "FeasibilityError",
     "CampaignConfig",
+    "Check",
     "Discrepancy",
     "InjectedCase",
     "CampaignReport",
@@ -82,6 +83,23 @@ def random_instance(n: int, wmax: int, seed: int) -> Instance:
     )
     labels = tuple(f"K{k:03d}" for k in range(1, n + 1))
     return Instance(labels, weights)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One report line: ``<name>: expected=<e> actual=<a> status=PASS|FAIL``."""
+
+    name: str
+    expected: int
+    actual: int
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        return f"{self.name}: expected={self.expected} actual={self.actual} status={status}"
 
 
 @dataclass(frozen=True)
@@ -158,29 +176,17 @@ class CampaignReport:
     discrepancies: tuple[Discrepancy, ...]
     oracle_refusals: tuple[str, ...] = ()
 
-    @property
-    def max_gap(self) -> int:
-        return max((d.gap for d in self.discrepancies), default=0)
-
-    @property
-    def whole_instance_hits(self) -> tuple[Discrepancy, ...]:
-        return tuple(d for d in self.discrepancies if d.whole_instance)
-
     def summary_lines(self) -> list[str]:
         cfg = self.config
-        lines = [
+        found = self.discrepancies
+        return [
             f"model={cfg.model} trials={self.trials_run} seed={cfg.base_seed} "
-            f"n=[{cfg.n_min},{cfg.n_max}] wmax={cfg.wmax} cells={self.checked_cells}"
+            f"n=[{cfg.n_min},{cfg.n_max}] wmax={cfg.wmax} cells={self.checked_cells}",
+            *(d.describe() for d in found),
+            f"max_gap={max((d.gap for d in found), default=0)}",
+            f"whole_instance_discrepancies={sum(d.whole_instance for d in found)}",
+            Check("fuzz.discrepancy_count", 0, len(found)).line(),
         ]
-        lines.extend(d.describe() for d in self.discrepancies)
-        lines.append(f"max_gap={self.max_gap}")
-        lines.append(f"whole_instance_discrepancies={len(self.whole_instance_hits)}")
-        status = "PASS" if not self.discrepancies else "FAIL"
-        lines.append(
-            f"fuzz.discrepancy_count: expected=0 actual={len(self.discrepancies)} "
-            f"status={status}"
-        )
-        return lines
 
 
 def _audit(
@@ -267,7 +273,7 @@ def campaign(
 
     Oracle refusals (instances beyond the configured limit) are recorded,
     not fatal; such cases fall back to witness-tree comparison at the whole
-    instance when a witness is supplied.
+    instance when a witness is supplied and check no cell otherwise.
     """
     discrepancies: list[Discrepancy] = []
     refusals: list[str] = []
@@ -278,17 +284,19 @@ def campaign(
         try:
             found, inst_checked = _audit(cfg.model, case.instance, cfg.holes_max)
         except SizeLimitError as exc:
+            witnessed = case.witness_tree is not None
             refusals.append(
                 f"trial {trial} ({case.name}): n={exc.size} exceeds oracle "
-                f"limit {exc.limit}; witness comparison only"
+                f"limit {exc.limit}; "
+                + ("witness comparison only" if witnessed else "no witness, not checked")
             )
-            if case.witness_tree is not None:
+            if witnessed:
                 hit = _witness_check(
                     cfg.model, case.instance, case.witness_tree, trial, case.name
                 )
                 if hit is not None:
                     discrepancies.append(hit)
-            checked += 1
+                checked += 1
         else:
             discrepancies.extend(
                 dataclasses.replace(d, trial=trial, name=case.name) for d in found

@@ -42,7 +42,6 @@ from .model import (
     check_hole_count,
     gbst_join,
     mask_of,
-    tree_weight,
     _walk,
 )
 
@@ -439,27 +438,16 @@ def depth_seq(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(d[:m]), tuple(e[:m])
 
 
-def _nearly_separated(gaps: list[int]) -> bool:
-    # Dropping one member must leave a set whose separators all lie outside
-    # the *original* subset, so the gap merged around the dropped member f
-    # needs a second inner query besides f itself.
-    m = len(gaps) + 1
-    for k in range(m):
-        if any(gap == 0 for t, gap in enumerate(gaps) if t != k - 1 and t != k):
-            continue
-        if 0 < k < m - 1 and gaps[k - 1] + gaps[k] == 0:
-            continue
-        return True
-    return False
-
-
 def depth_bound_violations(tree: TwcstTree, d: tuple, e: tuple) -> list[str]:
     """Check every query subset of size m <= min(len(d), len(e)) against
     the depth bounds of :func:`depth_seq`.
 
     Separated subsets must have total leaf depth >= d[m - 1], nearly
-    separated ones >= e[m - 1].  Returns human-readable violations (empty
-    when all hold).
+    separated ones >= e[m - 1].  A subset is separated when a query lies
+    between every two adjacent members and nearly separated when exactly
+    one pair has none: dropping the member after that pair leaves a
+    separated set, and with two such pairs no single drop does.  Returns
+    human-readable violations (empty when all hold).
     """
     depths = {key: charge for key, charge, _ in _walk(tree)}
     queries = sorted(depths)
@@ -469,12 +457,10 @@ def depth_bound_violations(tree: TwcstTree, d: tuple, e: tuple) -> list[str]:
         # Subsets as positions in *queries*, so that b - a - 1 queries lie
         # strictly between members at positions a < b.
         for at in combinations(range(len(queries)), m):
-            gaps = [b - a - 1 for a, b in zip(at, at[1:])]
-            # Separators must be queries outside the subset, and every
-            # query strictly between two adjacent members qualifies.
-            if 0 not in gaps:
+            zeros = [b - a - 1 for a, b in zip(at, at[1:])].count(0)
+            if zeros == 0:
                 kind, name, bound = "separated", "d", d[m - 1]
-            elif _nearly_separated(gaps):
+            elif zeros == 1:
                 kind, name, bound = "nearly separated", "e", e[m - 1]
             else:
                 continue
@@ -490,5 +476,8 @@ def eq_root_weight_ok(tree: TwcstTree, inst: Instance) -> bool:
     weight at most four times the maximum query weight."""
     if not (isinstance(tree, Cmp) and tree.op == EQ):
         return True
-    total = tree_weight(tree, inst)
-    return total <= 4 * max(inst.weight(key) for key, _, _ in _walk(tree))
+    keys = [key for key, _, _ in _walk(tree)]
+    if min(keys) < 1 or max(keys) > inst.n:
+        raise ValueError(f"tree keys out of range 1..{inst.n}")
+    weights = [inst.weight(key) for key in keys]
+    return sum(weights) <= 4 * max(weights)

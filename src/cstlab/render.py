@@ -51,9 +51,9 @@ def _span(placed, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
     keys = {key for key, _, _ in placed}
     if not keys:
         raise InvalidTreeError("cannot render an empty tree")
-    if not all(1 <= k <= inst.n for k in keys):
-        raise InvalidTreeError("tree keys out of range for the instance")
     interval = Interval(min(keys), max(keys))
+    if interval.i < 1 or interval.j > inst.n:
+        raise InvalidTreeError("tree keys out of range for the instance")
     holes = tuple(k for k in interval.keys() if k not in keys)
     return interval, holes
 

@@ -10,6 +10,8 @@ from cstlab.falsify import (
     MODELS,
     TWCST,
     CampaignConfig,
+    CampaignReport,
+    Discrepancy,
     InjectedCase,
     audit_subproblems,
     campaign,
@@ -167,6 +169,17 @@ class TestCampaign:
         cfg, want = config(GBSPLIT, 10, 10)
         assert campaign(cfg).checked_cells == want
 
+    def test_refused_case_without_witness_checks_no_cell(self):
+        cfg = CampaignConfig(model=GBSPLIT, n_min=3, n_max=4, trials=2, base_seed=1)
+        big = InjectedCase("big", random_instance(20, 9, 1))
+        plain = campaign(cfg)
+        report = campaign(cfg, injected=(big,))
+        assert report.checked_cells == plain.checked_cells
+        assert report.trials_run == plain.trials_run + 1
+        assert report.oracle_refusals == (
+            "trial 0 (big): n=20 exceeds oracle limit 16; no witness, not checked",
+        )
+
     def test_mutant_counterexample_found_by_sweeps(self):
         # Harness discovery, frozen as a regression: raising the I15
         # pattern's third weight from 0 to 1 moves the bad cell to a 14-key
@@ -251,3 +264,31 @@ class TestModels:
         for other, spec in MODELS.items():
             argv = ["solve", "--model", name, "--alg", spec.dp, "--instance", str(path)]
             assert main(argv) == (0 if other == name else 2)
+
+
+class TestSummaryLines:
+    CFG = CampaignConfig(model=TWCST, n_min=3, n_max=5, wmax=9, trials=2, base_seed=7)
+
+    def test_clean_report(self):
+        report = CampaignReport(self.CFG, trials_run=2, checked_cells=11, discrepancies=())
+        assert report.summary_lines() == [
+            "model=twcst trials=2 seed=7 n=[3,5] wmax=9 cells=11",
+            "max_gap=0",
+            "whole_instance_discrepancies=0",
+            "fuzz.discrepancy_count: expected=0 actual=0 status=PASS",
+        ]
+
+    def test_report_with_two_gaps(self):
+        inst = random_instance(4, 9, 3)
+        whole = Discrepancy(inst, 1, 4, 0, 12, 10, whole_instance=True, trial=0, seed=7)
+        cell = Discrepancy(inst, 2, 4, 1, 6, 5, whole_instance=False, trial=1, seed=8)
+        report = CampaignReport(self.CFG, trials_run=2, checked_cells=20,
+                                discrepancies=(whole, cell))
+        assert report.summary_lines() == [
+            "model=twcst trials=2 seed=7 n=[3,5] wmax=9 cells=20",
+            "trial=0 cell=(1,4,0) flawed=12 reference=10 gap=2 cert=oracle whole-instance",
+            "trial=1 cell=(2,4,1) flawed=6 reference=5 gap=1 cert=oracle",
+            "max_gap=2",
+            "whole_instance_discrepancies=1",
+            "fuzz.discrepancy_count: expected=0 actual=2 status=FAIL",
+        ]

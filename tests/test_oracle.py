@@ -460,6 +460,21 @@ class TestDepthBounds:
                     nonempty += bool(got)
         assert nonempty > 100
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_every_gap_pattern_matches_the_reference(self, n):
+        """Bounds no tree meets list every separated and nearly separated
+        subset of up to six queries; with twelve or more leaves every
+        zero/non-zero pattern of five gaps occurs."""
+        from reference_model import depth_bound_violations as reference
+        from cstlab.spuler import SpulerTable
+
+        tree = SpulerTable(random_instance(n, 16, 900 + n)).result(1, n, 0).tree
+        huge = (10**9,) * 6
+        got = depth_bound_violations(tree, huge, huge)
+        assert got == reference(tree, huge, huge)
+        assert any(line.startswith("nearly separated") and line.count(",") == 5
+                   for line in got)
+
     def test_eq_root_weight_bound(self):
         for seed in range(30):
             inst = random_instance(3 + seed % 6, 16, 500 + seed)
@@ -468,6 +483,15 @@ class TestDepthBounds:
             for h in range(min(3, inst.n)):
                 _, tree, _ = oracle.opt_star(full, h)
                 assert eq_root_weight_ok(tree, inst)
+
+    @pytest.mark.parametrize("stray", [0, 4])
+    def test_eq_root_weight_rejects_keys_outside_the_instance(self, stray):
+        from cstlab.model import EQ, LT, Cmp, Leaf
+
+        inst = Instance(("a", "b", "c"), (1, 2, 30))
+        tree = Cmp(EQ, 1, yes=Leaf(1), no=Cmp(LT, 3, yes=Leaf(2), no=Leaf(stray)))
+        with pytest.raises(ValueError, match="out of range"):
+            eq_root_weight_ok(tree, inst)
 
 
 class TestConcurrency:

@@ -168,6 +168,22 @@ class TestValidityGate:
         assert holes == (3, 5)
 
 
+    @pytest.mark.parametrize("family", ["gbst", "twcst"])
+    @pytest.mark.parametrize("stray", ["0", "n + 1"])
+    def test_rejects_keys_outside_the_instance(self, family, stray):
+        inst = I9 if family == "gbst" else I8
+        key = 0 if stray == "0" else inst.n + 1
+        if family == "gbst":
+            tree = GbstNode(2, split=2, left=GbstNode(1), right=GbstNode(key))
+        else:
+            tree = Cmp(LT, 2, yes=Leaf(1), no=Leaf(key))
+        message = "tree keys out of range for the instance"
+        with pytest.raises(InvalidTreeError, match=f"^{message}$"):
+            render_tree(tree, "ascii", inst)
+        with pytest.raises(InvalidTreeError, match=f"^{message}$"):
+            derive_subproblem(tree, inst)
+
+
 class TestTreeFiles:
     def test_gbst_round_trip(self):
         text = "gbsplit\n(A2:D0 (A1:C0 B0 C0) (D1:E0 D0 E0))\n"
