@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .falsify import TWCST, Check, audit_subproblems, random_instance
-from .hw import hw_solve
+from .hw import HwTable
 from .model import (
     GbstNode,
     Instance,
@@ -293,8 +293,8 @@ def verify_theorem1() -> Report:
     add = checks.append
 
     i31 = build_instance("I31").instance
-    full = i31.full_interval()
-    hw_cost = hw_solve(i31, full, 0).cost
+    hw = HwTable(i31)
+    hw_cost = hw.cost(1, i31.n, 0)
     add(Check("thm1.hw.cost", 1763, hw_cost))
 
     witness = exhibit("fig3", i31)
@@ -302,7 +302,7 @@ def verify_theorem1() -> Report:
     add(Check("thm1.placement", 1757, placement_lower_bound(i31)))
 
     oracle = GbstOracle(i31)
-    add(Check("thm1.hw_I9.cost", 209, hw_solve(i31, Interval(1, 9), 2).cost))
+    add(Check("thm1.hw_I9.cost", 209, hw.cost(1, 9, 2)))
     add(Check("thm1.oracle_I9.cost", 209, oracle.opt_star_cost(Interval(1, 9), 2)))
 
     # The padding blocks must be neutral: their balanced trees are optimal,

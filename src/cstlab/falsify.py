@@ -6,13 +6,12 @@ reverse direction (DP costing *less*) is impossible because the DPs only
 ever build valid trees; if it is observed, the artifact itself is broken
 and :class:`FeasibilityError` is raised.
 
-Campaigns are fully deterministic: trial t derives its seed as
+Campaigns are fully deterministic: random trial t derives its seed as
 ``base_seed + t``, so any reported discrepancy replays from its
 (seed, trial, cell) triple alone.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -112,7 +111,6 @@ class Discrepancy:
     h: int
     flawed_cost: int
     oracle_cost: int
-    whole_instance: bool
     certified: str = "oracle"  # "witness" when measured against a witness tree
     trial: Optional[int] = None
     seed: Optional[int] = None
@@ -121,6 +119,10 @@ class Discrepancy:
     @property
     def gap(self) -> int:
         return self.flawed_cost - self.oracle_cost
+
+    @property
+    def whole_instance(self) -> bool:
+        return (self.i, self.j, self.h) == (1, self.instance.n, 0)
 
     def describe(self) -> str:
         where = self.name if self.name is not None else f"trial={self.trial}"
@@ -190,9 +192,10 @@ class CampaignReport:
 
 
 def _audit(
-    model: str, inst: Instance, holes_max: Optional[int]
+    model: str, inst: Instance, holes_max: Optional[int], **tags
 ) -> tuple[list[Discrepancy], int]:
     """Audit the table's cells against the oracle; largest gap first.
+    Each record carries ``tags`` (its trial and seed or name).
 
     The cells (h <= holes_max) and their opt* come from one pass over the
     query sets of the whole instance (``star_rows``), taken before the table
@@ -204,7 +207,6 @@ def _audit(
     table = spec.table(inst)
     found: list[Discrepancy] = []
     checked = 0
-    n = inst.n
     for (i, j), row in rows.items():
         checked += len(row)
         for h, exact in enumerate(row):
@@ -222,7 +224,7 @@ def _audit(
                         h=h,
                         flawed_cost=flawed,
                         oracle_cost=exact,
-                        whole_instance=(i == 1 and j == n and h == 0),
+                        **tags,
                     )
                 )
     found.sort(key=lambda d: (-d.gap, d.i, d.j, d.h))
@@ -243,27 +245,22 @@ def audit_subproblems(
 
 
 def _witness_check(
-    model: str, inst: Instance, witness, trial: int, name: str
-) -> Discrepancy | None:
+    model: str, inst: Instance, witness, **tags
+) -> list[Discrepancy]:
     verdict = validate(witness, inst.full_interval(), (), inst)
     if not verdict:
-        raise ValueError(f"witness tree for {name} invalid: {verdict.violations}")
-    flawed = MODELS[model].table(inst).cost(1, inst.n, 0)
-    reference = tree_cost(witness, inst)
-    if flawed > reference:
-        return Discrepancy(
-            instance=inst,
-            i=1,
-            j=inst.n,
-            h=0,
-            flawed_cost=flawed,
-            oracle_cost=reference,
-            whole_instance=True,
-            certified="witness",
-            trial=trial,
-            name=name,
-        )
-    return None
+        raise ValueError(f"witness tree for {tags['name']} invalid: {verdict.violations}")
+    hit = Discrepancy(
+        instance=inst,
+        i=1,
+        j=inst.n,
+        h=0,
+        flawed_cost=MODELS[model].table(inst).cost(1, inst.n, 0),
+        oracle_cost=tree_cost(witness, inst),
+        certified="witness",
+        **tags,
+    )
+    return [hit] if hit.gap > 0 else []
 
 
 def campaign(
@@ -275,14 +272,13 @@ def campaign(
     not fatal; such cases fall back to witness-tree comparison at the whole
     instance when a witness is supplied and check no cell otherwise.
     """
-    discrepancies: list[Discrepancy] = []
     refusals: list[str] = []
-    checked = 0
-    trial = 0
+    trials: list[tuple[list[Discrepancy], int]] = []
 
-    for case in injected:
+    for trial, case in enumerate(injected):
+        tags = {"trial": trial, "name": case.name}
         try:
-            found, inst_checked = _audit(cfg.model, case.instance, cfg.holes_max)
+            trials.append(_audit(cfg.model, case.instance, cfg.holes_max, **tags))
         except SizeLimitError as exc:
             witnessed = case.witness_tree is not None
             refusals.append(
@@ -291,46 +287,32 @@ def campaign(
                 + ("witness comparison only" if witnessed else "no witness, not checked")
             )
             if witnessed:
-                hit = _witness_check(
-                    cfg.model, case.instance, case.witness_tree, trial, case.name
+                trials.append(
+                    (_witness_check(cfg.model, case.instance, case.witness_tree, **tags), 1)
                 )
-                if hit is not None:
-                    discrepancies.append(hit)
-                checked += 1
-        else:
-            discrepancies.extend(
-                dataclasses.replace(d, trial=trial, name=case.name) for d in found
-            )
-            checked += inst_checked
-        trial += 1
+            else:
+                trials.append(([], 0))
 
-    for _ in range(cfg.trials):
-        seed = cfg.base_seed + trial
-        found, inst_checked = _run_random_trial(cfg, trial, seed)
-        discrepancies.extend(found)
-        checked += inst_checked
-        trial += 1
+    for trial in range(len(injected), len(injected) + cfg.trials):
+        trials.append(_run_random_trial(cfg, trial))
 
     return CampaignReport(
         config=cfg,
-        trials_run=trial,
-        checked_cells=checked,
-        discrepancies=tuple(discrepancies),
+        trials_run=len(trials),
+        checked_cells=sum(checked for _, checked in trials),
+        discrepancies=tuple(d for found, _ in trials for d in found),
         oracle_refusals=tuple(refusals),
     )
 
 
-def _run_random_trial(
-    cfg: CampaignConfig, trial: int, seed: int
-) -> tuple[list[Discrepancy], int]:
+def _run_random_trial(cfg: CampaignConfig, trial: int) -> tuple[list[Discrepancy], int]:
+    seed = cfg.base_seed + trial
     rng = random.Random(seed)
     n = rng.randint(cfg.n_min, cfg.n_max)
     inst = random_instance(n, cfg.wmax, seed)
-    found, checked = _audit(cfg.model, inst, cfg.holes_max)
-    tagged = [dataclasses.replace(d, trial=trial, seed=seed) for d in found]
-    return tagged, checked
+    return _audit(cfg.model, inst, cfg.holes_max, trial=trial, seed=seed)
 
 
 def replay_trial(cfg: CampaignConfig, trial: int) -> list[Discrepancy]:
     """Re-run one random trial of a campaign from its (seed, trial) pair."""
-    return _run_random_trial(cfg, trial, cfg.base_seed + trial)[0]
+    return _run_random_trial(cfg, trial)[0]

@@ -163,11 +163,22 @@ class Instance:
     def _index(self) -> dict[str, int]:
         return {lab: k for k, lab in enumerate(self.labels, 1)}
 
+    # The sign test keeps key 0 and below off Python's negative indexes.
     def weight(self, key: int) -> int:
-        return self.weights[key - 1]
+        if key > 0:
+            try:
+                return self.weights[key - 1]
+            except IndexError:
+                pass
+        raise ValueError(f"key {key} out of range 1..{self.n}")
 
     def label(self, key: int) -> str:
-        return self.labels[key - 1]
+        if key > 0:
+            try:
+                return self.labels[key - 1]
+            except IndexError:
+                pass
+        raise ValueError(f"key {key} out of range 1..{self.n}")
 
     def index(self, label: str) -> int:
         try:

@@ -476,8 +476,5 @@ def eq_root_weight_ok(tree: TwcstTree, inst: Instance) -> bool:
     weight at most four times the maximum query weight."""
     if not (isinstance(tree, Cmp) and tree.op == EQ):
         return True
-    keys = [key for key, _, _ in _walk(tree)]
-    if min(keys) < 1 or max(keys) > inst.n:
-        raise ValueError(f"tree keys out of range 1..{inst.n}")
-    weights = [inst.weight(key) for key in keys]
+    weights = [inst.weight(key) for key, _, _ in _walk(tree)]
     return sum(weights) <= 4 * max(weights)

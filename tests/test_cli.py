@@ -316,7 +316,7 @@ class TestFuzz:
         i15 = build_instance("I15").instance
         hit = falsify.Discrepancy(
             instance=i15, i=1, j=15, h=2, flawed_cost=116, oracle_cost=115,
-            whole_instance=False, trial=0, seed=0,
+            trial=0, seed=0,
         )
 
         def fake_campaign(cfg, injected=()):

@@ -180,6 +180,31 @@ class TestCampaign:
             "trial 0 (big): n=20 exceeds oracle limit 16; no witness, not checked",
         )
 
+    def test_records_carry_their_trial_tags(self, monkeypatch):
+        # Random sweeps this small find no gap, so each random trial audits
+        # a scaled I15, which keeps the (1,15,2) gap times the scale.
+        from cstlab import falsify
+
+        i15 = build_instance("I15").instance
+        monkeypatch.setattr(falsify, "random_instance", lambda n, wmax, seed: i15.scaled(seed))
+        cfg = CampaignConfig(model=TWCST, n_min=15, n_max=15, trials=2, base_seed=1)
+        report = campaign(cfg, injected=(InjectedCase("I15", i15),))
+        injected = [d for d in report.discrepancies if d.name is not None]
+        assert [(d.trial, d.name, d.seed) for d in injected] == [(0, "I15", None)]
+        for t in (1, 2):
+            found = [d for d in report.discrepancies if d.trial == t]
+            assert found and all(d.seed == cfg.base_seed + t and d.name is None for d in found)
+            assert replay_trial(cfg, t) == found
+        assert [d.gap for d in report.discrepancies] == [1, 2, 3]
+
+    def test_witness_record_counts_one_cell(self):
+        i31 = build_instance("I31").instance
+        cfg = CampaignConfig(model=GBSPLIT, n_min=2, n_max=4, trials=1, base_seed=1)
+        report = campaign(cfg, injected=(InjectedCase("I31", i31, exhibit("fig3", i31)),))
+        (d,) = [d for d in report.discrepancies if d.certified == "witness"]
+        assert (d.trial, d.name, d.seed) == (0, "I31", None)
+        assert report.checked_cells == campaign(cfg).checked_cells + 1
+
     def test_mutant_counterexample_found_by_sweeps(self):
         # Harness discovery, frozen as a regression: raising the I15
         # pattern's third weight from 0 to 1 moves the bad cell to a 14-key
@@ -278,10 +303,16 @@ class TestSummaryLines:
             "fuzz.discrepancy_count: expected=0 actual=0 status=PASS",
         ]
 
+    @pytest.mark.parametrize(
+        "cell,whole", [((1, 4, 0), True), ((1, 4, 1), False), ((2, 4, 0), False), ((1, 3, 0), False)]
+    )
+    def test_whole_instance_is_read_from_the_cell(self, cell, whole):
+        assert Discrepancy(random_instance(4, 9, 3), *cell, 2, 1).whole_instance is whole
+
     def test_report_with_two_gaps(self):
         inst = random_instance(4, 9, 3)
-        whole = Discrepancy(inst, 1, 4, 0, 12, 10, whole_instance=True, trial=0, seed=7)
-        cell = Discrepancy(inst, 2, 4, 1, 6, 5, whole_instance=False, trial=1, seed=8)
+        whole = Discrepancy(inst, 1, 4, 0, 12, 10, trial=0, seed=7)
+        cell = Discrepancy(inst, 2, 4, 1, 6, 5, trial=1, seed=8)
         report = CampaignReport(self.CFG, trials_run=2, checked_cells=20,
                                 discrepancies=(whole, cell))
         assert report.summary_lines() == [

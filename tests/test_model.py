@@ -128,6 +128,16 @@ class TestParseInstance:
         assert parse_instance(format_instance(inst)) == inst
 
 
+class TestKeyAccessors:
+    INST = Instance(("a", "b", "c"), (1, 2, 30))
+
+    @pytest.mark.parametrize("key", [0, -1, 4])
+    @pytest.mark.parametrize("accessor", ["weight", "label"])
+    def test_key_outside_the_instance(self, accessor, key):
+        with pytest.raises(ValueError, match=re.escape(f"key {key} out of range 1..3")):
+            getattr(self.INST, accessor)(key)
+
+
 class TestGbstCost:
     def test_fig1_scaled(self):
         inst, tree = fig1()

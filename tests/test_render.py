@@ -183,6 +183,18 @@ class TestValidityGate:
         with pytest.raises(InvalidTreeError, match=f"^{message}$"):
             derive_subproblem(tree, inst)
 
+    @pytest.mark.parametrize(
+        "tree", [GbstNode(2, split=0, right=GbstNode(1)), GbstNode(2, split=4, left=GbstNode(1))]
+    )
+    def test_split_key_outside_the_instance(self, tree):
+        # The split separates every key, so the tree is valid, but no key
+        # names the comparison: the formats that print it refuse it.
+        inst = Instance(("a", "b", "c"), (1, 2, 30))
+        assert render_tree(tree, "ascii", inst).startswith("b (2)\n")
+        for fmt in ("dot", "ifelse"):
+            with pytest.raises(ValueError, match=f"key {tree.split} out of range 1..3"):
+                render_tree(tree, fmt, inst)
+
 
 class TestTreeFiles:
     def test_gbst_round_trip(self):
