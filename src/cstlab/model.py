@@ -51,10 +51,8 @@ __all__ = [
     "tree_cost",
     "tree_weight",
     "gbst_cost",
-    "gbst_weight",
     "gbst_join",
     "twcst_cost",
-    "twcst_weight",
     "gbst_validate",
     "twcst_validate",
     "replace_subtree",
@@ -67,7 +65,6 @@ class ParseError(ValueError):
     """Raised for malformed instance or tree files; names the line."""
 
     def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
         if lineno is not None:
             message = f"line {lineno}: {message}"
         super().__init__(message)
@@ -502,9 +499,8 @@ def tree_weight(tree, inst: Instance) -> int:
     return _cost_weight(tree, inst)[1]
 
 
-# The family-named spellings of the three functions above.
+# The family-named spellings of tree_cost and validate.
 gbst_cost = twcst_cost = tree_cost
-gbst_weight = twcst_weight = tree_weight
 gbst_validate = twcst_validate = validate
 
 

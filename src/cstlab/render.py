@@ -67,7 +67,10 @@ def render_tree(tree, fmt: str, inst: Instance) -> str:
     verdict = _verdict(tree, placed, *_span(placed, inst), inst.n)
     if not verdict:
         raise InvalidTreeError("; ".join(verdict.violations))
-    return emit(tree, inst)
+    try:
+        return emit(tree, inst)
+    except ValueError as exc:  # a GBST split key outside 1..n has no label
+        raise InvalidTreeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from cstlab.model import (
     Interval,
     gbst_cost,
     gbst_validate,
-    gbst_weight,
+    tree_weight,
     twcst_cost,
     twcst_validate,
-    twcst_weight,
 )
 from cstlab.oracle import (
     GbstOracle,
@@ -44,19 +43,19 @@ def test_criterion_1_figure_reproduction():
     t2a, t2b = bench.exhibit("fig2_a", I9), bench.exhibit("fig2_b", I9)
     assert gbst_cost(t2a, I9) == 209
     assert gbst_cost(t2b, I9) == 210
-    assert gbst_weight(t2a, I9) == 97
-    assert gbst_weight(t2b, I9) == 95
-    assert gbst_weight(t2a, I9) - gbst_weight(t2b, I9) == 2
+    assert tree_weight(t2a, I9) == 97
+    assert tree_weight(t2b, I9) == 95
+    assert tree_weight(t2a, I9) - tree_weight(t2b, I9) == 2
 
     t4a, t4b, t4c = (bench.exhibit(name, I8) for name in ("fig4_a", "fig4_b", "fig4_c"))
-    assert (twcst_cost(t4a, I8), twcst_weight(t4a, I8)) == (49, 22)
-    assert (twcst_cost(t4b, I8), twcst_weight(t4b, I8)) == (50, 20)
-    assert (twcst_cost(t4c, I8), twcst_weight(t4c, I8)) == (50, 20)
+    assert (twcst_cost(t4a, I8), tree_weight(t4a, I8)) == (49, 22)
+    assert (twcst_cost(t4b, I8), tree_weight(t4b, I8)) == (50, 20)
+    assert (twcst_cost(t4c, I8), tree_weight(t4c, I8)) == (50, 20)
     assert t4b != t4c
 
     t5a, t5b = bench.exhibit("fig5_a", i10), bench.exhibit("fig5_b", i10)
-    assert (twcst_cost(t5a, i10), twcst_weight(t5a, i10)) == (69, 27)
-    assert (twcst_cost(t5b, i10), twcst_weight(t5b, i10)) == (70, 25)
+    assert (twcst_cost(t5a, i10), tree_weight(t5a, i10)) == (69, 27)
+    assert (twcst_cost(t5b, i10), tree_weight(t5b, i10)) == (70, 25)
 
     ctx_a = bench.fig2_context(5, 3, t2a)
     ctx_b = bench.fig2_context(8, 3, t2b)
@@ -117,12 +116,12 @@ def test_criterion_4_depth_sequences():
 def test_criterion_5_lemma_constants():
     o8 = TwcstOracle(I8)
     cost, tree, _ = o8.opt_star(I8.full_interval(), 1)
-    assert (cost, twcst_weight(tree, I8)) == (49, 22)
+    assert (cost, tree_weight(tree, I8)) == (49, 22)
 
     i10 = bench._prefix_instance(10)
     o10 = TwcstOracle(i10)
     cost, tree, _ = o10.opt_star(i10.full_interval(), 1)
-    assert (cost, twcst_weight(tree, i10)) == (69, 27)
+    assert (cost, tree_weight(tree, i10)) == (69, 27)
     _report(5, "four- and five-query optima (49,22) and (69,27)")
 
 
@@ -207,9 +206,18 @@ def test_criterion_7_determinism(capsys):
     inj2 = falsify.campaign(gb_cfg, injected=(case,))
     assert inj1.summary_lines() == inj2.summary_lines()
     assert any(d.certified == "witness" and d.gap == 1 for d in inj1.discrepancies)
-    for d in a.discrepancies:
-        replayed = falsify.replay_trial(cfg, d.trial)
-        assert any((r.i, r.j, r.h, r.gap) == (d.i, d.j, d.h, d.gap) for r in replayed)
+    # A random 16-key trial with a real gap, cell (1,16,2) at 266 against 265.
+    gap_cfg = falsify.CampaignConfig(
+        model=falsify.TWCST, n_min=16, n_max=16, wmax=16, trials=1, base_seed=196, holes_max=2
+    )
+    gap = falsify.campaign(gap_cfg)
+    replays = 0
+    for run_cfg, report in ((cfg, a), (gap_cfg, gap)):
+        for d in report.discrepancies:
+            replayed = falsify.replay_trial(run_cfg, d.trial)
+            assert any((r.i, r.j, r.h, r.gap) == (d.i, d.j, d.h, d.gap) for r in replayed)
+            replays += 1
+    assert replays >= 1
     with capsys.disabled():
         print()
         _report(7, "byte-identical verification and exact fuzz replay")

@@ -13,6 +13,7 @@ from cstlab.bench import (
     verify_theorem1,
     verify_theorem2,
 )
+from cstlab.cli import main
 
 
 class TestNamedInstances:
@@ -91,6 +92,33 @@ class TestReports:
     def test_theorem2(self):
         report = verify_theorem2()
         assert report.passed, [c.line() for c in report.checks if not c.passed]
+
+    def test_theorem2_reads_one_cell_without_an_audit(self, monkeypatch):
+        # Theorem 2 needs the (I15, 2) cell only, never a whole-table sweep.
+        from cstlab.oracle import ExactOracle
+
+        def star_rows(self, *args, **kwargs):
+            raise AssertionError("verify_theorem2 swept the whole table")
+
+        monkeypatch.setattr(ExactOracle, "star_rows", star_rows)
+        report = verify_theorem2()
+        assert report.passed, [c.line() for c in report.checks if not c.passed]
+
+    def test_theorem2_bad_cell_follows_the_printed_costs(self):
+        by_name = {c.name: c.actual for c in verify_theorem2().checks}
+        spuler, oracle = by_name["thm2.spuler.cost"], by_name["thm2.oracle.cost"]
+        assert by_name["thm2.bad_cell.exists"] == int(spuler > oracle) == 1
+
+    def test_theorem2_lines(self, capsys):
+        assert main(["verify-paper", "--section", "thm2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "thm2.spuler.cost: expected=116 actual=116 status=PASS",
+            "thm2.oracle.cost: expected=115 actual=115 status=PASS",
+            "thm2.oracle.valid: expected=1 actual=1 status=PASS",
+            "thm2.witness.cost: expected=115 actual=115 status=PASS",
+            "thm2.witness.valid: expected=1 actual=1 status=PASS",
+            "thm2.bad_cell.exists: expected=1 actual=1 status=PASS",
+        ]
 
     def test_depth_lemma(self):
         report = verify_depth_lemma(seed=1)

@@ -24,6 +24,13 @@ from cstlab.oracle import SizeLimitError
 from cstlab.spuler import spuler_solve
 
 
+# One random 16-key trial whose Spuler table has a real gap: cell (1,16,2)
+# at 266 against 265.  The small campaigns used elsewhere here find none.
+GAP_CAMPAIGN = CampaignConfig(
+    model=TWCST, n_min=16, n_max=16, wmax=16, trials=1, base_seed=196, holes_max=2
+)
+
+
 class TestRandomInstance:
     def test_deterministic(self):
         assert random_instance(5, 10, 42) == random_instance(5, 10, 42)
@@ -90,9 +97,12 @@ class TestCampaign:
         assert a.summary_lines() == b.summary_lines()
 
     def test_replay_reproduces_gaps(self):
-        cfg = CampaignConfig(model=TWCST, n_min=4, n_max=8, trials=40, base_seed=5)
+        cfg = GAP_CAMPAIGN
         report = campaign(cfg)
-        for d in report.discrepancies[:5]:
+        assert [(d.i, d.j, d.h, d.flawed_cost, d.oracle_cost) for d in report.discrepancies] == [
+            (1, 16, 2, 266, 265)
+        ]
+        for d in report.discrepancies:
             replayed = replay_trial(cfg, d.trial)
             match = [
                 r
@@ -125,10 +135,12 @@ class TestCampaign:
             CampaignConfig(model=GBSPLIT, n_max=40)
 
     def test_every_discrepancy_is_replayable(self):
-        cfg = CampaignConfig(model=GBSPLIT, n_min=3, n_max=7, trials=30, base_seed=21)
+        cfg = GAP_CAMPAIGN
         report = campaign(cfg)
+        assert report.discrepancies
         for d in report.discrepancies:
             assert d.seed == cfg.base_seed + d.trial
+            assert d in replay_trial(cfg, d.trial)
 
     def test_negative_gap_is_fatal(self, monkeypatch):
         # A DP cost below the optimum means the artifact itself is broken;

@@ -4,7 +4,7 @@ import pytest
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable, hw_solve
-from cstlab.model import Interval, gbst_cost, gbst_validate, gbst_weight
+from cstlab.model import Interval, gbst_cost, gbst_validate, tree_weight
 from cstlab.oracle import GbstOracle
 
 I9 = build_instance("I9").instance
@@ -29,7 +29,7 @@ class TestHwSolve:
         r = hw_solve(I9, iv, 2)
         assert r.cost == gbst_cost(r.tree, I9)
         holes_weight = sum(I9.weight(k) for k in r.holes_in(iv))
-        assert gbst_weight(r.tree, I9) == sum(I9.weights) - holes_weight
+        assert tree_weight(r.tree, I9) == sum(I9.weights) - holes_weight
         assert len(r.holes_in(iv)) == 2
 
     def test_hole_count_out_of_range(self):

@@ -17,12 +17,11 @@ from cstlab.model import (
     format_instance,
     gbst_cost,
     gbst_validate,
-    gbst_weight,
     parse_instance,
     replace_subtree,
+    tree_weight,
     twcst_cost,
     twcst_validate,
-    twcst_weight,
 )
 
 I9 = Instance(
@@ -149,7 +148,7 @@ class TestGbstCost:
 
     def test_t2a(self):
         assert gbst_cost(t2a(), I9) == 209
-        assert gbst_weight(t2a(), I9) == 97
+        assert tree_weight(t2a(), I9) == 97
 
     def test_empty(self):
         assert gbst_cost(None, I9) == 0
@@ -157,7 +156,7 @@ class TestGbstCost:
     def test_recursive_identity(self):
         tree = t2a()
         assert gbst_cost(tree, I9) == (
-            gbst_weight(tree, I9) + gbst_cost(tree.left, I9) + gbst_cost(tree.right, I9)
+            tree_weight(tree, I9) + gbst_cost(tree.left, I9) + gbst_cost(tree.right, I9)
         )
 
     def test_key_out_of_range(self):
@@ -232,7 +231,7 @@ class TestTwcstCost:
     def test_recursive_identity(self):
         tree = Cmp(EQ, 2, yes=Leaf(2), no=Cmp(LT, 4, yes=Leaf(1), no=Leaf(4)))
         assert twcst_cost(tree, self.I8) == (
-            twcst_weight(tree, self.I8)
+            tree_weight(tree, self.I8)
             + twcst_cost(tree.yes, self.I8)
             + twcst_cost(tree.no, self.I8)
         )
@@ -336,7 +335,7 @@ class TestDeepTrees:
         # Key k sits at depth k - 1.
         expected = sum(self.INST.weight(k) * k for k in range(1, DEEP + 1))
         assert gbst_cost(tree, self.INST) == expected
-        assert gbst_weight(tree, self.INST) == self.INST.total_weight()
+        assert tree_weight(tree, self.INST) == self.INST.total_weight()
 
     def test_gbst_chain_verdicts(self):
         full = self.INST.full_interval()
@@ -356,7 +355,7 @@ class TestDeepTrees:
             self.INST.weight(DEEP) * (DEEP - 1)
         )
         assert twcst_cost(node, self.INST) == expected
-        assert twcst_weight(node, self.INST) == self.INST.total_weight()
+        assert tree_weight(node, self.INST) == self.INST.total_weight()
         assert twcst_validate(node, self.INST.full_interval(), (), self.INST).ok
 
 

@@ -192,8 +192,9 @@ class TestValidityGate:
         inst = Instance(("a", "b", "c"), (1, 2, 30))
         assert render_tree(tree, "ascii", inst).startswith("b (2)\n")
         for fmt in ("dot", "ifelse"):
-            with pytest.raises(ValueError, match=f"key {tree.split} out of range 1..3"):
+            with pytest.raises(ValueError, match=f"key {tree.split} out of range 1..3") as info:
                 render_tree(tree, fmt, inst)
+            assert type(info.value) is InvalidTreeError
 
 
 class TestTreeFiles:

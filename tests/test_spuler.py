@@ -4,7 +4,7 @@ import pytest
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.model import (
-    EQ, Cmp, Instance, Interval, Leaf, twcst_cost, twcst_validate, twcst_weight,
+    EQ, Cmp, Instance, Interval, Leaf, tree_weight, twcst_cost, twcst_validate,
 )
 from cstlab.oracle import TwcstOracle
 from cstlab.spuler import SpulerTable, spuler_solve
@@ -33,7 +33,7 @@ class TestSpulerSolve:
         r = spuler_solve(I15, iv, 2)
         assert r.cost == twcst_cost(r.tree, I15)
         holes_weight = sum(I15.weight(k) for k in r.holes_in(iv))
-        assert twcst_weight(r.tree, I15) == sum(I15.weights) - holes_weight
+        assert tree_weight(r.tree, I15) == sum(I15.weights) - holes_weight
         assert twcst_validate(r.tree, iv, r.holes_in(iv), I15).ok
 
     def test_hole_count_out_of_range(self):
