@@ -138,7 +138,7 @@ def build_instance(name: str) -> NamedInstance:
         )
         _require(inst.weights[11] == 10, "twelfth key of I31 must have weight 10")
     elif name == "I8":
-        inst = Instance(_labels(8), _I15_WEIGHTS[:8])
+        inst = _prefix_instance(8)
     elif name == "I15":
         inst = Instance(_labels(15), _I15_WEIGHTS)
         _require(sum(inst.weights) == 49, "I15 weight sum must be 49")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from . import bench, falsify
 from .falsify import MODELS
-from .model import Instance, Interval, ParseError, check_hole_count, parse_instance, tree_weight
+from .model import Instance, Interval, ParseError, parse_instance, tree_weight
 from .oracle import SizeLimitError, depth_seq, placement_lower_bound
 from .render import FORMATS, InvalidTreeError, parse_tree_file, render_tree
 
@@ -152,29 +152,21 @@ def _cmd_solve(args) -> int:
             raise UsageError("--holeset applies only to --alg exact")
         holeset = _parse_holeset(args.holeset, inst)
 
-    h = args.holes
-    if holeset is None:
-        try:
-            check_hole_count(h, interval, model.table.min_queries)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    if args.alg == model.dp:
-        if interval.size > DP_KEY_LIMIT:
-            raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
-        result = model.table.solve(inst, interval, h)
-        cost, tree = result.cost, result.tree
-        holes_used = result.holes_in(interval)
-    else:
-        oracle = model.oracle(inst)
-        if holeset is not None:
-            try:
-                cost, tree = oracle.opt(interval, holeset)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
+    # The solvers refuse a bad hole count or hole set.
+    try:
+        if args.alg == model.dp:
+            if interval.size > DP_KEY_LIMIT:
+                raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
+            result = model.table.solve(inst, interval, args.holes)
+            cost, tree = result.cost, result.tree
+            holes_used = result.holes_in(interval)
+        elif holeset is not None:
+            cost, tree = model.oracle(inst).opt(interval, holeset)
             holes_used = holeset
         else:
-            cost, tree, holes_used = oracle.opt_star(interval, h)
+            cost, tree, holes_used = model.oracle(inst).opt_star(interval, args.holes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     print(
         f"model={args.model} alg={args.alg} interval=[{interval.i},{interval.j}] "

@@ -136,18 +136,13 @@ class ExactOracle:
 
     def _star_argmin(self, interval: Interval, h: int) -> tuple[int, tuple[int, ...], int]:
         """opt* cost, its hole keys and its window-relative query set."""
-        full = self._query_set(interval, 0)
         check_hole_count(h, interval, self.min_queries)
-        memo, cost, shift = self._memo, self._cost, self._shift
-        best = best_q = None
-        for bits in combinations([1 << (k - 1 - shift) for k in interval.keys()], h):
-            q = full - sum(bits)  # the hole bits lie inside full
-            c = memo[q]
-            if c is None:
-                c = cost(q)
-            if best is None or c < best:
-                best, best_q = c, q
-        return best, tuple(b.bit_length() + shift for b in _bits(full ^ best_q)), best_q
+        full = self._query_set(interval, 0)
+        shift = self._shift
+        hole_sets = combinations([1 << (k - 1 - shift) for k in interval.keys()], h)
+        # The hole bits lie inside full; min keeps the first least query set.
+        q = min((full - sum(holes) for holes in hole_sets), key=self._cost)
+        return self._memo[q], tuple(b.bit_length() + shift for b in _bits(full ^ q)), q
 
     def star_rows(
         self, interval: Interval, holes_max: int | None = None
@@ -296,9 +291,7 @@ class GbstOracle(ExactOracle):
         if g_memo[q] == target:
             e = self._eq_key(q)
             return gbst_join(e.bit_length() + shift, i, i, None, self._tree(q ^ e, i))
-        left = q & -q
-        rest = q ^ left
-        while rest:
+        for left, rest in _gaps(q):
             s = left.bit_length() + 1 + shift
             if g_memo[left] + memo[rest] == target:
                 e = self._eq_key(left)
@@ -306,9 +299,6 @@ class GbstOracle(ExactOracle):
             if memo[left] + g_memo[rest] == target:
                 e = self._eq_key(rest)
                 return gbst_join(e.bit_length() + shift, s, i, self._tree(left, i), self._tree(rest ^ e, s))
-            low = rest & -rest
-            rest ^= low
-            left |= low
         raise AssertionError("memoized optimum not reproducible")
 
 
@@ -381,14 +371,9 @@ class TwcstOracle(ExactOracle):
             e = low.bit_length()
             if w[e] and memo[q ^ low] == target:
                 return Cmp(EQ, e + shift, yes=Leaf(e + shift), no=self._tree(q ^ low))
-        left = q & -q
-        rest = q ^ left
-        while rest:
+        for left, rest in _gaps(q):
             if memo[left] + memo[rest] == target:
                 return Cmp(LT, left.bit_length() + 1 + shift, yes=self._tree(left), no=self._tree(rest))
-            low = rest & -rest
-            rest ^= low
-            left |= low
         raise AssertionError("memoized optimum not reproducible")
 
 
@@ -398,6 +383,18 @@ def _bits(q: int):
         low = q & -q
         q ^= low
         yield low
+
+
+def _gaps(q: int):
+    """(left, rest) for each gap between adjacent set bits of q, lowest
+    first: left holds the bits below the gap, rest those above."""
+    left = q & -q
+    rest = q ^ left
+    while rest:
+        yield left, rest
+        low = rest & -rest
+        rest ^= low
+        left |= low
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("model, alg", [("gbsplit", "hw"), ("twcst", "spuler")])
     def test_dp_interval_over_the_key_limit_exit_2(self, model, alg, tmp_path, monkeypatch):
-        """An interval one key over the limit is refused before any fill;
-        an inner interval of the same instance is solved."""
+        """An interval one key over the limit is refused before any fill,
+        and before the solver sees a bad hole count; an inner interval of
+        the same instance is solved."""
         def no_fill(self):
             raise AssertionError("the table was filled")
 
@@ -201,11 +202,69 @@ class TestSolve:
         with monkeypatch.context() as patch:
             patch.setattr(DpTable, "_fill", no_fill)
             rc, err = _exit_code(argv)
+            assert _exit_code([*argv, "--holes", "999"]) == (rc, err)
         assert rc == 2
         assert err == (
             f"error: interval of size {n} exceeds the configured {alg} limit {DP_KEY_LIMIT}\n"
         )
         assert _exit_code([*argv, "--interval", "2", "6"]) == (0, "")
+
+
+# Both DPs and both exact oracles.
+SOLVERS = [("gbsplit", "hw"), ("gbsplit", "exact"), ("twcst", "spuler"), ("twcst", "exact")]
+
+
+class TestSolveRefusals:
+    """solve with one bad argument: exit 2 and one exact stderr line, on
+    I9 (keys A1 A2 A3 B0 B4 C0 D0 D1 E0)."""
+
+    @pytest.mark.parametrize("model, alg", SOLVERS)
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--holes", "99"], "hole count 99 out of range 0..{max_h}"),
+            (["--holes", "-1"], "hole count -1 out of range 0..{max_h}"),
+            (["--interval", "2", "4", "--holes", "4"], "hole count 4 out of range 0..{max_h3}"),
+            (["--interval", "0", "5"], "interval [0,5] invalid for n=9"),
+            (["--interval", "3", "10"], "interval [3,10] invalid for n=9"),
+            (["--interval", "6", "3"], "interval [6,3] invalid for n=9"),
+            (["--interval", "6", "5"], "interval must be nonempty"),
+        ],
+    )
+    def test_one_bad_argument(self, model, alg, flags, message, i9_file):
+        min_queries = int(model == "twcst")
+        argv = ["solve", "--model", model, "--alg", alg, "--instance", i9_file, *flags]
+        message = message.format(max_h=9 - min_queries, max_h3=3 - min_queries)
+        assert _exit_code(argv) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("model, alg", SOLVERS)
+    def test_holeset_key_outside_the_interval(self, model, alg, i9_file):
+        argv = ["solve", "--model", model, "--alg", alg, "--instance", i9_file,
+                "--interval", "1", "5", "--holeset", "A3,D1"]
+        message = "hole key 8 outside interval [1,5]" if alg == "exact" else (
+            "--holeset applies only to --alg exact"
+        )
+        assert _exit_code(argv) == (2, f"error: {message}\n")
+
+    def test_twcst_holeset_of_every_key(self, i9_file):
+        argv = ["solve", "--model", "twcst", "--alg", "exact", "--instance", i9_file,
+                "--interval", "2", "3", "--holeset", "A2,A3"]
+        assert _exit_code(argv) == (2, "error: subproblem must keep at least one query\n")
+
+    @pytest.mark.parametrize("model, max_h", [("gbsplit", 31), ("twcst", 30)])
+    def test_bad_hole_count_before_the_oracle_size_limit(self, model, max_h, tmp_path):
+        """I31 is over both oracle limits; a bad hole count is still the
+        error reported, and a good one meets the size refusal."""
+        path = tmp_path / "i31.txt"
+        path.write_text(format_instance(build_instance("I31").instance))
+        argv = ["solve", "--model", model, "--alg", "exact", "--instance", str(path)]
+        assert _exit_code([*argv, "--holes", "99"]) == (
+            2, f"error: hole count 99 out of range 0..{max_h}\n"
+        )
+        limit = 16 if model == "gbsplit" else 18
+        assert _exit_code([*argv, "--holes", "2"]) == (
+            2, f"error: interval of size 31 exceeds the configured oracle limit {limit}\n"
+        )
 
 
 class TestVerifyPaper:

@@ -231,6 +231,19 @@ class TestEntryPoint:
         assert new.opt_cost(Interval(2, 4), range_mask(6, 6) | 1) == new.opt_cost(Interval(2, 4))
         assert new.opt_cost(Interval(2, 4), (3,)) == new.opt_cost(Interval(2, 4), range_mask(3, 3))
 
+    def test_bad_hole_count_opens_no_window(self):
+        # An 18-key window's memo is a list of 2^18 slots, about 2 MB.
+        inst = random_instance(18, 9, 5)
+        oracle = TwcstOracle(inst)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="hole count 99 out of range 0..17"):
+                oracle.opt_star(inst.full_interval(), 99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
     def test_keys_beyond_bit_64(self):
         inst = Instance(
             tuple(f"K{k:03d}" for k in range(1, 81)), tuple(1 + k % 7 for k in range(80))

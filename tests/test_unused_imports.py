@@ -1,11 +1,14 @@
-"""Every module-level import in ``src/cstlab`` is read or re-exported, and
-every ``__all__`` entry names something the module binds.
+"""Every module-level import in ``src/cstlab`` is read or re-exported,
+every ``__all__`` entry names something the module binds, and every
+module-level private def or class is referenced somewhere in the package.
 
 No linter ships with the lab, so these AST passes stand in for the checks
 that matter after a deletion: a name imported at module level must occur
 in the module as a name (or an attribute's base) or be listed in
-``__all__``, and a name listed in ``__all__`` must be bound at module level
-by a def, a class, an assignment or an import.
+``__all__``; a name listed in ``__all__`` must be bound at module level
+by a def, a class, an assignment or an import; and a helper named with a
+leading underscore must occur, as a name or an attribute, in some
+module-level statement of the package other than its own definition.
 """
 import ast
 from pathlib import Path
@@ -80,3 +83,50 @@ def test_the_check_sees_a_stale_export():
         "__all__ = ['os', 'args', 'f', 'C', 'a', 'b', 'x', 'z', 't', 'gone', 'argv']\n"
     )
     assert unbound_exports(source) == ["gone", "argv"]
+
+
+def read_names(stmt: ast.stmt) -> set[str]:
+    """The names and attribute names that *stmt* reads or writes."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def orphaned_private_defs(sources: dict[str, str]) -> list[str]:
+    """``<module>: <name>`` for each module-level def or class named with
+    one leading ``_`` that no other module-level statement of *sources*
+    (module name -> source) names."""
+    defs = []
+    statements = []
+    for module, source in sorted(sources.items()):
+        for stmt in ast.parse(source).body:
+            statements.append((stmt, read_names(stmt)))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                stmt.name.startswith("_") and not stmt.name.startswith("__")
+            ):
+                defs.append((module, stmt))
+    return [
+        f"{module}: {stmt.name}"
+        for module, stmt in defs
+        if not any(other is not stmt and stmt.name in names for other, names in statements)
+    ]
+
+
+def test_no_orphaned_private_defs():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_defs(sources) == []
+
+
+def test_the_check_sees_an_orphaned_helper():
+    sources = {
+        "a.py": (
+            "def _used(): pass\ndef _orphan(): pass\ndef _recurse(): return _recurse()\n"
+            "class _Read: pass\ndef __getattr__(name): pass\ndef public(): pass\n"
+        ),
+        "b.py": "from a import _used\nimport a\n_used()\nx = a._Read\n",
+    }
+    assert orphaned_private_defs(sources) == ["a.py: _orphan", "a.py: _recurse"]
