@@ -25,7 +25,9 @@ split position, then smallest h1.
 The fill is :class:`~cstlab.model.DpTable`'s.  Split s = i with h1 = 0
 (one child, on the right) is its equality candidate, tried first; split
 s = j+1 (one child, on the left) is never tried, as it offers the same
-cost and key.  ``_best_split`` looks up the free key of a split candidate
+cost and key.  The fill gathers the base costs of every split candidate
+of I, for all h at once, and ``_best_split`` scans cell h's slice
+``bases[a:b]`` of them.  It looks up the free key of a split candidate
 only when its bound (base cost plus the least weight in I) does not exceed
 the best cost so far: a candidate of equal cost can still win the tie on a
 smaller e.  The lookup is the lesser of the two children's stored free
@@ -43,13 +45,13 @@ __all__ = ["HwTable", "hw_solve"]
 class HwTable(DpTable):
     """The HW DP over every (i, j, h) inside a root interval, h <= |I|."""
 
-    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
         key_at_rank, weight_at_rank = self._key_at_rank, self._weight_at_rank
         best_cost, best_k, best_e = eq_cost, -1, eq_e
         limit = best_cost - least_w
         # Candidates run in ascending (s, h1) order, so a strict < on
         # (cost, e) keeps the earliest among full ties.
-        for k, base in enumerate(bases):
+        for k, base in enumerate(bases[a:b], a):
             if base > limit:  # costs more than best_cost
                 continue
             # The lesser free rank of the two sides, without a min() call.

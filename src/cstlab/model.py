@@ -25,7 +25,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 __all__ = [
@@ -555,8 +555,14 @@ class SolveResult:
 
 
 def check_hole_count(h: int, interval: Interval, min_queries: int) -> None:
-    """Reject a hole count outside 0..|I| - min_queries."""
+    """Reject a hole count outside 0..|I| - min_queries, and an interval
+    with fewer than min_queries keys, which has no hole count at all."""
     max_h = interval.size - min_queries
+    if max_h < 0:
+        raise ValueError(
+            f"interval [{interval.i},{interval.j}] has too few keys:"
+            f" {interval.size} < {min_queries}"
+        )
     if not 0 <= h <= max_h:
         raise ValueError(f"hole count {h} out of range 0..{max_h}")
 
@@ -571,28 +577,33 @@ def _split_gathers(length: int, min_queries: int) -> tuple:
     Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
     keys has a row of ``size + 1 - min_queries`` entries.  The rows of the
     left sides are concatenated in split order, and so are the rows of the
-    right sides.  Returns, per h, the positions in each concatenation of
-    the candidates (size_l, h1) with h1 + h2 = h + 1 - min_queries, splits
-    ascending and then h1 ascending.  A left position's (size_l, h1) is
-    the table's own ``split_of`` entry (see :class:`DpTable`).
+    right sides.  Returns ``(at_l, at_r, bounds)``: the positions in each
+    concatenation of every candidate (h, size_l, h1) with
+    h1 + h2 = h + 1 - min_queries, h ascending, then splits ascending,
+    then h1 ascending, as two flat tuples; and per h the ``(start, stop)``
+    of its candidates in them.  So one ``itemgetter`` call per side
+    gathers the candidates of every h of an interval.  A left position's
+    (size_l, h1) is the table's own ``split_of`` entry (see
+    :class:`DpTable`).
 
-    All tables share the gathers up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
-    through ``_LAYOUTS``: 2.95 MB (tracemalloc) for lengths 1..36 and both
-    DPs, as tuples, which fill faster than ``array('H')``; length 37 would
-    take 3.28 MB.  Longer gathers are rebuilt per table, in O(length^3)
-    against the fill's O(n^5).
+    All tables share the layouts up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
+    through ``_LAYOUTS``: 2.92 MB (tracemalloc) for lengths 1..36 and both
+    DPs, as tuples, which ``itemgetter`` holds without a copy; length 37
+    would take 3.25 MB.  Longer layouts are rebuilt per table, in
+    O(length^3) against the fill's O(n^5).
     """
-    gathers = _LAYOUTS.get((length, min_queries))
-    if gathers is not None:
-        return gathers
+    layout = _LAYOUTS.get((length, min_queries))
+    if layout is not None:
+        return layout
     m = min_queries
     sizes = range(1, length)
-    # Slices of one list of positions, so that all gathers share its ints.
+    # Slices of one list of positions, so that all layouts share its ints.
     pos = list(range(sum(size + 1 - m for size in sizes)))
-    gathers = []
+    at_l: list[int] = []
+    at_r: list[int] = []
+    bounds = []
     for h in range(length - m):
-        at_l: list[int] = []
-        at_r: list[int] = []
+        start = len(at_l)
         start_l = start_r = 0
         for size_l in sizes:
             size_r = length - size_l
@@ -603,11 +614,20 @@ def _split_gathers(length: int, min_queries: int) -> tuple:
             at_r += reversed(pos[start_r + h + 2 - m - b : start_r + h + 2 - m - a])
             start_l += size_l + 1 - m
             start_r += size_r + 1 - m
-        gathers.append((tuple(at_l), tuple(at_r)))
-    gathers = tuple(gathers)
+        bounds.append((start, len(at_l)))
+    layout = (tuple(at_l), tuple(at_r), tuple(bounds))
     if length <= LAYOUT_CACHE_MAX_LENGTH:
-        _LAYOUTS[(length, min_queries)] = gathers
-    return gathers
+        _LAYOUTS[(length, min_queries)] = layout
+    return layout
+
+
+def _gatherer(positions: tuple[int, ...]):
+    """``itemgetter(*positions)``, which returns a tuple for any count:
+    itemgetter alone takes at least one position and returns a bare item
+    for one."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row: tuple(row[p] for p in positions)
 
 
 class DpTable:
@@ -637,12 +657,15 @@ class DpTable:
       ``cw[h+1] + w(e)``;
     * a split at s = i+1..j over the results for ([i, s-1], h1) and
       ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
-      sum of its children's cost + weight entries, gathered for all
-      candidates at once from concatenated child rows at positions that
-      ``_split_gathers`` shares among all tables.  The winner's (s, h1)
-      comes from ``split_of``, one map per table from left positions to
-      (size_l, h1), built for the root length in O(n^2): every shorter
-      length's left rows are a prefix of it.
+      sum of its children's cost + weight entries.  A split reads only
+      rows of shorter intervals, complete before I starts, so the base
+      costs of every h of I are gathered at once, by one ``itemgetter``
+      call per side over the concatenated child rows, at positions that
+      ``_split_gathers`` shares among all tables; cell h's candidates are
+      the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
+      ``split_of``, one map per table from left positions to (size_l, h1),
+      built for the root length in O(n^2): every shorter length's left
+      rows are a prefix of it.
 
     The subclass's ``_best_split`` picks the winner and says which root key
     a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
@@ -677,10 +700,11 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r) -> tuple:
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r) -> tuple:
         """A cell's winner (cost, k, e): k = -1 for the equality candidate
-        (*eq_cost*, key *eq_e*), else an index into *bases*, the split
-        candidates' base costs.  Candidate k's sides leave free ranks
+        (*eq_cost*, key *eq_e*), else an index in a..b-1 into *bases*, the
+        base costs of the interval's split candidates, whose slice
+        ``bases[a:b]`` is the cell's.  Candidate k's sides leave free ranks
         ``free_l[at_l[k]]`` and ``free_r[at_r[k]]`` (the concatenated child
         ``free`` rows); *least_w* is the least weight in I."""
         raise NotImplementedError
@@ -696,7 +720,8 @@ class DpTable:
             (size_l, h1) for size_l in range(1, hi - lo + 1) for h1 in range(size_l + 1 - m)
         ]
         for length in range(1, hi - lo + 2):
-            gathers = _split_gathers(length, m)
+            at_l, at_r, bounds = _split_gathers(length, m)
+            get_l, get_r = _gatherer(at_l), _gatherer(at_r)
             size = length + 1 - m
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
@@ -709,7 +734,7 @@ class DpTable:
                     cw_r += right[1]
                     free_l += left[4]
                     free_r += right[4]
-                cw_l_at, cw_r_at = cw_l.__getitem__, cw_r.__getitem__
+                bases = list(map(add, get_l(cw_l), get_r(cw_r)))
                 rows[(i, j)] = cost_row, cw_row, perm_row, choice_row, free_row = (
                     [0] * size, [0] * size, [0] * size, [None] * size, [0] * size
                 )
@@ -720,10 +745,9 @@ class DpTable:
                 free_row[-1] = (free & -free).bit_length() - 1 if free else none_free
                 for h in range(length - m - 1, -1, -1):
                     rank = free_row[h + 1]
-                    at_l, at_r = gathers[h]
-                    bases = list(map(add, map(cw_l_at, at_l), map(cw_r_at, at_r)))
+                    a, b = bounds[h]
                     cost, k, e = best_split(
-                        bases, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
+                        bases, a, b, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
                         weight_at_rank[least], free_l, free_r, at_l, at_r,
                     )
                     # A cost is the weight plus the children's costs.
@@ -743,6 +767,9 @@ class DpTable:
                     choice_row[h] = (s, h1, h2, e)
                     free = iv_perm & ~placed
                     free_row[h] = (free & -free).bit_length() - 1 if free else none_free
+                # One interval's bases at a time: the next gather allocates
+                # as many new ints.
+                del bases
 
     def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list, list]:
         rows = self._rows.get((i, j))

@@ -23,8 +23,9 @@ leaf takes the minimum-weight key (lowest index on ties).
 
 The fill is :class:`~cstlab.model.DpTable`'s, with T_= as its equality
 candidate and the T_< candidates as its splits (``min_queries`` = 1, so
-h1 + h2 = h).  ``_best_split`` is ``min`` and ``list.index`` over their
-base costs, which keep the earliest of equal candidates.
+h1 + h2 = h).  ``_best_split`` is ``min`` and ``list.index`` over the
+cell's slice of their base costs, which keep the earliest of equal
+candidates.
 """
 from __future__ import annotations
 
@@ -49,11 +50,11 @@ class SpulerTable(DpTable):
 
     min_queries = 1
 
-    def _best_split(self, bases, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
-        cost = min(bases)
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
+        cost = min(bases[a:b])
         if eq_cost <= cost:
             return eq_cost, -1, eq_e
-        return cost, bases.index(cost), None
+        return cost, bases.index(cost, a, b), None
 
     def _tree(self, i: int, j: int, h: int) -> TwcstTree:
         _, _, perm_row, choice_row, _ = self._rows[(i, j)]

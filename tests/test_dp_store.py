@@ -1,5 +1,5 @@
-"""The DP row store's free-rank column, the split gathers that every table
-in a process shares, and each table's own split map."""
+"""The DP row store's free-rank column, the flat split layouts that every
+table in a process shares, and each table's own split map."""
 import random
 import tracemalloc
 
@@ -46,10 +46,56 @@ def test_free_is_the_least_unplaced_rank(name):
                 assert free[h] == want, (name, inst.weights, (i, j, h))
 
 
+def _candidates(length, min_queries, h):
+    """The split candidates (size_l, h1, h2) of cell h of an interval of
+    *length* keys, in the order the fill tries them: each side keeps
+    ``min_queries`` keys and h1 + h2 = h + 1 - min_queries."""
+    m = min_queries
+    return [
+        (size_l, h1, h + 1 - m - h1)
+        for size_l in range(1, length)
+        for h1 in range(size_l + 1 - m)
+        if 0 <= h + 1 - m - h1 <= length - size_l - m
+    ]
+
+
+def _decode(length, min_queries, layout):
+    """A flat layout read back as per-h lists of (size_l, h1, h2): bounds
+    tile both position tuples in h order, and a left and a right position
+    name rows of the same split."""
+    m = min_queries
+    at_l, at_r, bounds = layout
+    sizes = range(1, length)
+    left = [(size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m)]
+    right = [(length - size_l, h2) for size_l in sizes for h2 in range(length - size_l + 1 - m)]
+    ends = [0] + [b for _, b in bounds]
+    assert [a for a, _ in bounds] == ends[:-1]
+    assert len(at_l) == len(at_r) == ends[-1]
+    per_h = []
+    for a, b in bounds:
+        cell = []
+        for p, q in zip(at_l[a:b], at_r[a:b]):
+            (size_l, h1), (size_r, h2) = left[p], right[q]
+            assert size_l + size_r == length
+            cell.append((size_l, h1, h2))
+        per_h.append(cell)
+    return per_h
+
+
+@pytest.mark.parametrize("min_queries", [0, 1])
+def test_flat_layout_lists_every_candidate_of_every_cell(min_queries):
+    """Cell h's slice of the flat position tuples holds its split
+    candidates, each once and in fill order, for every h of the interval."""
+    for length in range(1, 16):
+        layout = model._split_gathers(length, min_queries)
+        want = [_candidates(length, min_queries, h) for h in range(length - min_queries)]
+        assert _decode(length, min_queries, layout) == want, length
+
+
 def test_shared_layouts_leave_every_cell_unchanged(monkeypatch):
     """Interleaved HW and Spuler fills of several lengths, with a cap low
     enough that some lengths are cached and others rebuilt per table, give
-    the reference cells.  A cached layout is reused as the same object,
+    the reference cells.  A cached flat layout is reused as the same object,
     equals a fresh build after the fills, and no layout above the cap is
     kept."""
     cap = 12
@@ -85,8 +131,8 @@ def test_shared_layouts_leave_every_cell_unchanged(monkeypatch):
 
 
 def test_cached_layouts_fit_the_memory_budget(monkeypatch):
-    """The gathers up to the cap, for both DPs, take under 3 MB, and one
-    length more would not: the cap is the most the budget allows."""
+    """The flat layouts up to the cap, for both DPs, take under 3 MB, and
+    one length more would not: the cap is the most the budget allows."""
     cap = model.LAYOUT_CACHE_MAX_LENGTH
     monkeypatch.setattr(model, "_LAYOUTS", {})
     monkeypatch.setattr(model, "LAYOUT_CACHE_MAX_LENGTH", cap + 1)
@@ -102,9 +148,39 @@ def test_cached_layouts_fit_the_memory_budget(monkeypatch):
     assert sizes[-2] < 3_000_000 <= sizes[-1]
 
 
+def test_gatherer_returns_a_tuple_for_any_count():
+    """``itemgetter`` takes at least one position and returns a bare item
+    for one; the fill's gatherer returns a tuple for 0, 1 and more."""
+    row = [5, 6, 7]
+    assert model._gatherer(())(row) == ()
+    assert model._gatherer((1,))(row) == (6,)
+    assert model._gatherer((2, 0, 2))(row) == (7, 5, 7)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_uncached_and_tiny_layouts_give_the_reference_cells(name, monkeypatch):
+    """With no layout cached, every table builds its own, down to the ones
+    with 0 or 1 candidates: HW's length 1 (the equality candidate alone)
+    and Spuler's length 2 (one split).  Small instances, wmax 1 among them
+    where ties are common, and roots of one and two keys match the
+    reference cell for cell."""
+    monkeypatch.setattr(model, "_LAYOUTS", {})
+    monkeypatch.setattr(model, "LAYOUT_CACHE_MAX_LENGTH", 0)
+    assert model._split_gathers(1, 0) == ((), (), ((0, 0),))
+    assert model._split_gathers(2, 1) == ((0,), (0,), ((0, 1),))
+    for wmax in (1, 2, 1000):
+        for n in range(1, 9):
+            for seed in range(3):
+                inst = random_instance(n, wmax, 9500 + 10 * n + seed)
+                _assert_same_cells(name, inst)
+                _assert_same_cells(name, inst, Interval(n, n))
+                _assert_same_cells(name, inst, Interval(1, min(2, n)))
+    assert model._LAYOUTS == {}
+
+
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_split_map_covers_a_table_longer_than_the_cap(name):
-    """The root length is past the cap, so its gathers are built per table;
+    """The root length is past the cap, so its layout is built per table;
     the winners read their (s, h1) from the table's one split map, and each
     root-interval cell's rebuilt tree is valid and has the cell's cost and
     the weight its cost + weight row stores."""

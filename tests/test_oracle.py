@@ -210,6 +210,14 @@ class TestTwcstOptStar:
         assert cost == 115
         assert twcst_validate(tree, I15.full_interval(), holes, I15).ok
 
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_interval_without_keys(self, h):
+        """A 2WCST keeps one key, so an empty interval has no hole count;
+        the refusal says so, in the Spuler table's words."""
+        with pytest.raises(ValueError) as info:
+            TwcstOracle(I15).opt_star(Interval(3, 2), h)
+        assert str(info.value) == "interval [3,2] has too few keys: 0 < 1"
+
     def test_max_holes_single_leaf(self):
         oracle = TwcstOracle(I8)
         cost, tree, holes = oracle.opt_star(I8.full_interval(), 7)

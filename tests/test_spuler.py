@@ -40,6 +40,14 @@ class TestSpulerSolve:
         with pytest.raises(ValueError, match="out of range"):
             spuler_solve(I15, I15.full_interval(), 15)
 
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_interval_without_keys(self, h):
+        """A subproblem keeps one key, so an empty interval has no hole
+        count; the refusal says so, in the oracle's words."""
+        with pytest.raises(ValueError) as info:
+            SpulerTable.solve(I15, Interval(3, 2), h)
+        assert str(info.value) == "interval [3,2] has too few keys: 0 < 1"
+
 
 class TestSpulerTable:
     def test_two_key_cell_cost_is_total_weight(self):
