@@ -26,14 +26,14 @@ The fill is :class:`~cstlab.model.DpTable`'s.  Split s = i with h1 = 0
 (one child, on the right) is its equality candidate, tried first; split
 s = j+1 (one child, on the left) is never tried, as it offers the same
 cost and key.  The fill gathers the base costs of every split candidate
-of I, for all h at once, and ``_best_split`` scans cell h's slice
-``bases[a:b]`` of them.  It looks up the free key of a split candidate
-only when its bound (base cost plus the least weight in I) does not exceed
-the best cost so far: a candidate of equal cost can still win the tie on a
-smaller e.  The lookup is the lesser of the two children's stored free
-ranks (``DpTable``'s ``free`` rows): the children's intervals partition I,
-and rank order is weight order.  ``_tree`` joins the rebuilt children
-under e with :func:`~cstlab.model.gbst_join`.
+of I, for all h at once, from its per-key stores of finished rows, and
+``_best_split`` scans cell h's slice ``bases[a:b]`` of them.  It looks up
+the free key of a split candidate only when its bound (base cost plus the
+least weight in I) does not exceed the best cost so far: a candidate of
+equal cost can still win the tie on a smaller e.  The key has the lesser
+of the two sides' ``free`` ranks, from the same stores: the sides
+partition I, and rank order is weight order.  ``_tree`` joins the rebuilt
+children under e with :func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ import dataclasses
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -575,10 +576,11 @@ def _split_gathers(length: int, min_queries: int) -> tuple:
     """Where the split candidates of an interval of *length* keys sit.
 
     Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
-    keys has a row of ``size + 1 - min_queries`` entries.  The rows of the
-    left sides are concatenated in split order, and so are the rows of the
-    right sides.  Returns ``(at_l, at_r, bounds)``: the positions in each
-    concatenation of every candidate (h, size_l, h1) with
+    keys has a row of ``size + 1 - min_queries`` entries.  The fill reads
+    the rows of I's left sides, and of its right sides, from one list each
+    by ascending size (see :class:`DpTable`), so a side of ``size`` keys
+    starts at ``off[size - 1]`` in both.  Returns ``(at_l, at_r, bounds)``:
+    the positions in the two lists of every candidate (h, size_l, h1) with
     h1 + h2 = h + 1 - min_queries, h ascending, then splits ascending,
     then h1 ascending, as two flat tuples; and per h the ``(start, stop)``
     of its candidates in them.  So one ``itemgetter`` call per side
@@ -596,24 +598,22 @@ def _split_gathers(length: int, min_queries: int) -> tuple:
     if layout is not None:
         return layout
     m = min_queries
-    sizes = range(1, length)
+    off = list(accumulate(range(2 - m, length + 1 - m), initial=0))
     # Slices of one list of positions, so that all layouts share its ints.
-    pos = list(range(sum(size + 1 - m for size in sizes)))
+    pos = list(range(off[-1]))
     at_l: list[int] = []
     at_r: list[int] = []
     bounds = []
     for h in range(length - m):
         start = len(at_l)
-        start_l = start_r = 0
-        for size_l in sizes:
+        for size_l in range(1, length):
             size_r = length - size_l
             a = max(0, h + 1 - size_r)
             b = min(size_l, h + 1) + 1 - m
-            at_l += pos[start_l + a : start_l + b]
+            at_l += pos[off[size_l - 1] + a : off[size_l - 1] + b]
             # h2 = h + 1 - m - h1 runs down from h + 1 - m - a to h + 2 - m - b.
-            at_r += reversed(pos[start_r + h + 2 - m - b : start_r + h + 2 - m - a])
-            start_l += size_l + 1 - m
-            start_r += size_r + 1 - m
+            end_r = off[size_r - 1] + h + 2 - m
+            at_r += reversed(pos[end_r - b : end_r - a])
         bounds.append((start, len(at_l)))
     layout = (tuple(at_l), tuple(at_r), tuple(bounds))
     if length <= LAYOUT_CACHE_MAX_LENGTH:
@@ -657,15 +657,16 @@ class DpTable:
       ``cw[h+1] + w(e)``;
     * a split at s = i+1..j over the results for ([i, s-1], h1) and
       ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
-      sum of its children's cost + weight entries.  A split reads only
-      rows of shorter intervals, complete before I starts, so the base
-      costs of every h of I are gathered at once, by one ``itemgetter``
-      call per side over the concatenated child rows, at positions that
-      ``_split_gathers`` shares among all tables; cell h's candidates are
-      the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
-      ``split_of``, one map per table from left positions to (size_l, h1),
-      built for the root length in O(n^2): every shorter length's left
-      rows are a prefix of it.
+      sum of its children's cost + weight entries.  Each finished cw and
+      free row joins two per-key stores, ordered by length, of the
+      intervals that start at a key and that end at it, so when I starts,
+      those of i and j hold exactly its left and right sides.  From them,
+      one ``itemgetter`` call per side gathers the base costs of every h of
+      I at once, at positions that ``_split_gathers`` shares among all
+      tables; cell h's candidates are the slice ``bounds[h]`` of them.  The
+      winner's (s, h1) comes from ``split_of``, one map per table from left
+      positions to (size_l, h1), built for the root length in O(n^2): every
+      shorter length's left rows are a prefix of it.
 
     The subclass's ``_best_split`` picks the winner and says which root key
     a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
@@ -705,8 +706,8 @@ class DpTable:
         (*eq_cost*, key *eq_e*), else an index in a..b-1 into *bases*, the
         base costs of the interval's split candidates, whose slice
         ``bases[a:b]`` is the cell's.  Candidate k's sides leave free ranks
-        ``free_l[at_l[k]]`` and ``free_r[at_r[k]]`` (the concatenated child
-        ``free`` rows); *least_w* is the least weight in I."""
+        ``free_l[at_l[k]]`` and ``free_r[at_r[k]]`` (the ``free`` rows of
+        I's left and right sides); *least_w* is the least weight in I."""
         raise NotImplementedError
 
     def _fill(self) -> None:
@@ -719,6 +720,8 @@ class DpTable:
         split_of = [
             (size_l, h1) for size_l in range(1, hi - lo + 1) for h1 in range(size_l + 1 - m)
         ]
+        # By key k: the cw and free rows of [k, ...] and of [..., k], by length.
+        cw_from, free_from, cw_to, free_to = ([[] for _ in range(hi + 1)] for _ in range(4))
         for length in range(1, hi - lo + 2):
             at_l, at_r, bounds = _split_gathers(length, m)
             get_l, get_r = _gatherer(at_l), _gatherer(at_r)
@@ -727,14 +730,7 @@ class DpTable:
                 j = i + length - 1
                 iv_perm = sum(bit[i : j + 1])
                 least = (iv_perm & -iv_perm).bit_length() - 1
-                cw_l, cw_r, free_l, free_r = [], [], [], []
-                for s in range(i + 1, j + 1):
-                    left, right = rows[(i, s - 1)], rows[(s, j)]
-                    cw_l += left[1]
-                    cw_r += right[1]
-                    free_l += left[4]
-                    free_r += right[4]
-                bases = list(map(add, get_l(cw_l), get_r(cw_r)))
+                bases = list(map(add, get_l(cw_from[i]), get_r(cw_to[j])))
                 rows[(i, j)] = cost_row, cw_row, perm_row, choice_row, free_row = (
                     [0] * size, [0] * size, [0] * size, [None] * size, [0] * size
                 )
@@ -748,7 +744,7 @@ class DpTable:
                     a, b = bounds[h]
                     cost, k, e = best_split(
                         bases, a, b, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
-                        weight_at_rank[least], free_l, free_r, at_l, at_r,
+                        weight_at_rank[least], free_from[i], free_to[j], at_l, at_r,
                     )
                     # A cost is the weight plus the children's costs.
                     if k < 0:
@@ -767,6 +763,10 @@ class DpTable:
                     choice_row[h] = (s, h1, h2, e)
                     free = iv_perm & ~placed
                     free_row[h] = (free & -free).bit_length() - 1 if free else none_free
+                cw_from[i] += cw_row
+                cw_to[j] += cw_row
+                free_from[i] += free_row
+                free_to[j] += free_row
                 # One interval's bases at a time: the next gather allocates
                 # as many new ints.
                 del bases

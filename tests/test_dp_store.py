@@ -62,12 +62,10 @@ def _candidates(length, min_queries, h):
 def _decode(length, min_queries, layout):
     """A flat layout read back as per-h lists of (size_l, h1, h2): bounds
     tile both position tuples in h order, and a left and a right position
-    name rows of the same split."""
+    name rows of the same split.  Both sides' rows run by ascending size."""
     m = min_queries
     at_l, at_r, bounds = layout
-    sizes = range(1, length)
-    left = [(size_l, h1) for size_l in sizes for h1 in range(size_l + 1 - m)]
-    right = [(length - size_l, h2) for size_l in sizes for h2 in range(length - size_l + 1 - m)]
+    left = right = [(size, h) for size in range(1, length) for h in range(size + 1 - m)]
     ends = [0] + [b for _, b in bounds]
     assert [a for a, _ in bounds] == ends[:-1]
     assert len(at_l) == len(at_r) == ends[-1]
@@ -193,3 +191,19 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
         assert model.validate(r.tree, full, r.holes_in(full), inst).ok, h
         got = (model.tree_cost(r.tree, inst), model.tree_weight(r.tree, inst))
         assert got == (r.cost, cw_row[h] - cost_row[h]), h
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_inner_root_past_the_cap_matches_the_full_table(name):
+    """An inner root longer than the cap builds its layouts per table and
+    starts its per-key row stores past key 1; every interval inside it
+    has the full-instance table's row entries."""
+    inst = random_instance(45, 1000, 9408)
+    lo, hi = 4, 42
+    assert hi - lo + 1 > model.LAYOUT_CACHE_MAX_LENGTH
+    cls = TABLES[name][0]
+    inner, full = cls(inst, Interval(lo, hi))._rows, cls(inst)._rows
+    assert len(inner) == (hi - lo + 1) * (hi - lo + 2) // 2
+    for (i, j), entry in inner.items():
+        assert lo <= i <= j <= hi
+        assert entry == full[(i, j)], (i, j)
