@@ -27,15 +27,27 @@ The fill is :class:`~cstlab.model.DpTable`'s.  Split s = i with h1 = 0
 s = j+1 (one child, on the left) is never tried, as it offers the same
 cost and key.  The fill gathers the base costs of every split candidate
 of I, for all h at once, from its per-key stores of finished rows, and
-``_best_split`` scans cell h's slice ``bases[a:b]`` of them.  It looks up
-the free key of a split candidate only when its bound (base cost plus the
-least weight in I) does not exceed the best cost so far: a candidate of
-equal cost can still win the tie on a smaller e.  The key has the lesser
-of the two sides' ``free`` ranks, from the same stores: the sides
-partition I, and rank order is weight order.  ``_tree`` joins the rebuilt
-children under e with :func:`~cstlab.model.gbst_join`.
+``_best_split`` scans cell h's slice ``bases[a:b]`` of them.
+
+The scan compares one int per candidate.  With N = n + 1, above every
+key, a candidate of cost c and root key e scores c*N + e, so scores order
+candidates by (cost, e).  The stores hold cw*N and, for the free key f
+of a row, fk = w(f)*N + f; a row that places every key stores a sentinel
+above every real fk, derived from the largest weight.  Ranks run in
+(weight, index) order, and the two sides partition I, so the candidate's
+root key is the lighter of its sides' free keys and it scores
+cwN_l + cwN_r + min(fk_l, fk_r); a split leaves h + 1 >= 1 holes, so one
+side always has a free key.  The equality candidate's score starts
+as the best, and a split must score strictly below the best to replace
+it, so the equality candidate and then the earliest split (s, then h1)
+win full ties.  No free key of I encodes below I's least key, fk_least,
+so a split whose base is at least best - fk_least is skipped before its
+free keys are read.  ``_tree`` joins the rebuilt children under e with
+:func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .model import DpTable, GbstTree, gbst_join
 
@@ -45,23 +57,38 @@ __all__ = ["HwTable", "hw_solve"]
 class HwTable(DpTable):
     """The HW DP over every (i, j, h) inside a root interval, h <= |I|."""
 
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
-        key_at_rank, weight_at_rank = self._key_at_rank, self._weight_at_rank
-        best_cost, best_k, best_e = eq_cost, -1, eq_e
-        limit = best_cost - least_w
-        # Candidates run in ascending (s, h1) order, so a strict < on
-        # (cost, e) keeps the earliest among full ties.
+    @cached_property
+    def _encoding(self) -> tuple[int, tuple[int, ...]]:
+        """N = n + 1 and fk by rank, w*N + key, with the no-free-key rank n
+        last as the sentinel (wmax + 1) * N."""
+        scale = self.inst.n + 1
+        fk = [w * scale + key for w, key in zip(self._weight_at_rank, self._key_at_rank)]
+        fk.append((self._weight_at_rank[-1] + 1) * scale)
+        return scale, tuple(fk)
+
+    def _stored(self, cw_row, free_row):
+        scale, fk = self._encoding
+        return list(map(scale.__mul__, cw_row)), list(map(fk.__getitem__, free_row))
+
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least, fk_l, fk_r, at_l, at_r):
+        """The least score cost*N + e in the cell, the equality candidate's
+        first: *bases* hold cwN_l + cwN_r and *fk_l*/*fk_r* the sides'
+        stored fk entries (see the module docstring)."""
+        scale, fk = self._encoding
+        fk_least = fk[least]
+        best, best_k = eq_cost * scale + eq_e, -1
+        limit = best - fk_least
         for k, base in enumerate(bases[a:b], a):
-            if base > limit:  # costs more than best_cost
+            if base >= limit:  # scores at least best
                 continue
-            # The lesser free rank of the two sides, without a min() call.
-            left, right = free_l[at_l[k]], free_r[at_r[k]]
-            rank = left if left < right else right
-            cost = base + weight_at_rank[rank]
-            if cost < best_cost or (cost == best_cost and key_at_rank[rank] < best_e):
-                best_cost, best_k, best_e = cost, k, key_at_rank[rank]
-                limit = cost - least_w
-        return best_cost, best_k, best_e
+            # The lighter free key of the two sides, without a min() call.
+            left, right = fk_l[at_l[k]], fk_r[at_r[k]]
+            score = base + (left if left < right else right)
+            if score < best:
+                best, best_k = score, k
+                limit = score - fk_least
+        cost, e = divmod(best, scale)
+        return cost, best_k, e
 
     def _tree(self, i: int, j: int, h: int) -> GbstTree:
         choice = self._rows[(i, j)][3][h] if i <= j else None

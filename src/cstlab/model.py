@@ -660,13 +660,19 @@ class DpTable:
       sum of its children's cost + weight entries.  Each finished cw and
       free row joins two per-key stores, ordered by length, of the
       intervals that start at a key and that end at it, so when I starts,
-      those of i and j hold exactly its left and right sides.  From them,
-      one ``itemgetter`` call per side gathers the base costs of every h of
-      I at once, at positions that ``_split_gathers`` shares among all
-      tables; cell h's candidates are the slice ``bounds[h]`` of them.  The
-      winner's (s, h1) comes from ``split_of``, one map per table from left
-      positions to (size_l, h1), built for the root length in O(n^2): every
-      shorter length's left rows are a prefix of it.
+      those of i and j hold exactly its left and right sides.  What a row
+      adds to the stores is the subclass's ``_stored``: Spuler's cw and
+      free rows themselves, or HW's cw * N and encoded free keys, from
+      which one int per split candidate ranks it by (cost, key) (see
+      :mod:`cstlab.hw`).  [i, hi] is the last interval to read i's start
+      stores, and [lo, j] the last to read j's end stores, so the fill
+      drops them there.  From the stores, one ``itemgetter`` call per side
+      gathers the base costs of every h of I at once, at positions that
+      ``_split_gathers`` shares among all tables; cell h's candidates are
+      the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
+      ``split_of``, one map per table from left positions to (size_l, h1),
+      built for the root length in O(n^2): every shorter length's left rows
+      are a prefix of it.
 
     The subclass's ``_best_split`` picks the winner and says which root key
     a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
@@ -701,19 +707,24 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r) -> tuple:
+    def _stored(self, cw_row: list, free_row: list) -> tuple[list, list]:
+        """What a finished row adds to the per-key stores: the cw and free
+        rows themselves."""
+        return cw_row, free_row
+
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least, free_l, free_r, at_l, at_r) -> tuple:
         """A cell's winner (cost, k, e): k = -1 for the equality candidate
         (*eq_cost*, key *eq_e*), else an index in a..b-1 into *bases*, the
-        base costs of the interval's split candidates, whose slice
-        ``bases[a:b]`` is the cell's.  Candidate k's sides leave free ranks
-        ``free_l[at_l[k]]`` and ``free_r[at_r[k]]`` (the ``free`` rows of
-        I's left and right sides); *least_w* is the least weight in I."""
+        base costs of the interval's split candidates (the sums of their
+        sides' stored cw entries), whose slice ``bases[a:b]`` is the cell's.
+        Candidate k's sides have stored free entries ``free_l[at_l[k]]`` and
+        ``free_r[at_r[k]]``; *least* is the least rank in I."""
         raise NotImplementedError
 
     def _fill(self) -> None:
         m = self.min_queries
         key_at_rank, weight_at_rank, bit = self._key_at_rank, self._weight_at_rank, self._bit
-        best_split = self._best_split
+        best_split, stored = self._best_split, self._stored
         lo, hi = self.interval.i, self.interval.j
         rows = self._rows
         none_free = self.inst.n
@@ -744,7 +755,7 @@ class DpTable:
                     a, b = bounds[h]
                     cost, k, e = best_split(
                         bases, a, b, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
-                        weight_at_rank[least], free_from[i], free_to[j], at_l, at_r,
+                        least, free_from[i], free_to[j], at_l, at_r,
                     )
                     # A cost is the weight plus the children's costs.
                     if k < 0:
@@ -763,10 +774,17 @@ class DpTable:
                     choice_row[h] = (s, h1, h2, e)
                     free = iv_perm & ~placed
                     free_row[h] = (free & -free).bit_length() - 1 if free else none_free
-                cw_from[i] += cw_row
-                cw_to[j] += cw_row
-                free_from[i] += free_row
-                free_to[j] += free_row
+                cw_add, free_add = stored(cw_row, free_row)
+                if j < hi:
+                    cw_from[i] += cw_add
+                    free_from[i] += free_add
+                else:  # [i, hi] is the last interval to read them
+                    cw_from[i] = free_from[i] = None
+                if i > lo:
+                    cw_to[j] += cw_add
+                    free_to[j] += free_add
+                else:  # [lo, j] is the last interval to read them
+                    cw_to[j] = free_to[j] = None
                 # One interval's bases at a time: the next gather allocates
                 # as many new ints.
                 del bases

@@ -50,7 +50,7 @@ class SpulerTable(DpTable):
 
     min_queries = 1
 
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least_w, free_l, free_r, at_l, at_r):
+    def _best_split(self, bases, a, b, eq_cost, eq_e, least, free_l, free_r, at_l, at_r):
         cost = min(bases[a:b])
         if eq_cost <= cost:
             return eq_cost, -1, eq_e

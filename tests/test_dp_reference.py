@@ -9,7 +9,7 @@ import reference_dps as ref
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable
-from cstlab.model import Interval, mask_of, tree_weight
+from cstlab.model import Instance, Interval, mask_of, tree_weight
 from cstlab.spuler import SpulerTable
 
 TABLES = {"hw": (HwTable, ref.HwTable), "spuler": (SpulerTable, ref.SpulerTable)}
@@ -63,3 +63,25 @@ def test_long_random_instance(name):
 @pytest.mark.parametrize("instance", ["I9", "I15", "I31"])
 def test_named_instances(name, instance):
     _assert_same_cells(name, build_instance(instance).instance)
+
+
+def _instance(weights):
+    return Instance(tuple(f"K{k:02d}" for k in range(1, len(weights) + 1)), tuple(weights))
+
+
+# Weights times 2^70, so HW's encoded scores, cost * (n + 1) + key, pass
+# 2^64; 20 equal weights, so every split of a cell ties on cost and the
+# root key and then the split order decide; mostly zero weights, so most
+# intervals' least key weighs 0 and HW's prune bound on a free key is the
+# key alone.
+EDGE_WEIGHTS = {
+    "past_64_bits": _instance([w << 70 for w in random_instance(14, 1000, 9410).weights]),
+    "equal": _instance([7] * 20),
+    "mostly_zero": _instance([0, 4, 0, 0, 7, 0, 1, 0, 0, 3, 0, 0, 0, 2, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("instance", sorted(EDGE_WEIGHTS))
+def test_edge_weights(name, instance):
+    _assert_same_cells(name, EDGE_WEIGHTS[instance])
