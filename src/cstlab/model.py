@@ -390,54 +390,67 @@ def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
     leaves it (a GBST key repeated below its node is placed twice, which the
     verdict reports).  Below a split-less GBST node the bounds stay at that
     node's.  A node not of the root's family raises TypeError.
+
+    ``render_tree`` gates on this list before its emitters read labels by
+    index, so it lists every key the tree places, in 1..n or not.
     """
     if tree is None:
         return []
     gbst = type(tree) is GbstNode
-    placed = []
-    excluded: set[int] = set()
+    # The other family's node classes are None here, so its nodes fall
+    # through to the TypeError.
+    gbst_node, cmp_node, leaf_node = (GbstNode, None, None) if gbst else (None, Cmp, Leaf)
+    lt, placed, excluded = LT, [], set()
+    place = placed.append
     # Entries are (node, charge, lo, hi, first split-less GBST ancestor),
     # or a bare key to drop from *excluded* once its branch is done.
     stack: list = [(tree, 1 if gbst else 0, -_INF, _INF, None)]
+    push, pop = stack.append, stack.pop
     while stack:
-        entry = stack.pop()
+        entry = pop()
         if type(entry) is int:
             excluded.discard(entry)
             continue
         node, charge, lo, hi, stuck = entry
         kind = type(node)
-        if kind is GbstNode and gbst:
+        if kind is gbst_node:
             key, left, right, split = node.eq, node.left, node.right, node.split
             if not lo <= key < hi:
-                placed.append((key, charge, "does not reach its node"))
+                place((key, charge, "does not reach its node"))
             elif stuck is not None:
-                placed.append((key, charge, f"stuck at node {stuck} (no split key)"))
+                place((key, charge, f"stuck at node {stuck} (no split key)"))
             else:
-                placed.append((key, charge, None))
+                place((key, charge, None))
             if left is None and right is None:
                 continue
-            if stuck is None and split is None:
-                stuck = key
             charge += 1
+            if stuck is None and split is not None:
+                if right is not None:
+                    push((right, charge, split if split > lo else lo, hi, None))
+                if left is not None:
+                    push((left, charge, lo, split if split < hi else hi, None))
+                continue
+            if stuck is None:
+                stuck = key
             if right is not None:
-                stack.append((right, charge, lo if stuck is not None else max(lo, split), hi, stuck))
+                push((right, charge, lo, hi, stuck))
             if left is not None:
-                stack.append((left, charge, lo, hi if stuck is not None else min(hi, split), stuck))
-        elif kind is Cmp and not gbst:
+                push((left, charge, lo, hi, stuck))
+        elif kind is cmp_node:
             key, charge = node.key, charge + 1
-            if node.op == LT:
-                stack.append((node.no, charge, max(lo, key), hi, None))
-                stack.append((node.yes, charge, lo, min(hi, key), None))
+            if node.op == lt:
+                push((node.no, charge, key if key > lo else lo, hi, None))
+                push((node.yes, charge, lo, key if key < hi else hi, None))
             else:
-                stack.append((node.yes, charge, max(lo, key), min(hi, key + 1), None))
+                push((node.yes, charge, key if key > lo else lo, key + 1 if key + 1 < hi else hi, None))
                 if key not in excluded:
                     excluded.add(key)
-                    stack.append(key)
-                stack.append((node.no, charge, lo, hi, None))
-        elif kind is Leaf and not gbst:
+                    push(key)
+                push((node.no, charge, lo, hi, None))
+        elif kind is leaf_node:
             key = node.key
             reached = lo <= key < hi and key not in excluded
-            placed.append((key, charge, None if reached else "does not reach its leaf"))
+            place((key, charge, None if reached else "does not reach its leaf"))
         else:
             raise TypeError(f"{node!r} is not a {GBSPLIT if gbst else TWCST} tree node")
     return placed
@@ -450,12 +463,15 @@ def _verdict(tree, placed, interval: Interval, holes: Iterable[int], n: int) -> 
     holes = set(holes)
     if not holes <= expected:
         raise ValueError("hole set must be contained in the interval")
-    expected -= holes
-    keys = [key for key, _, _ in placed]
+    keys = list(map(itemgetter(0), placed))
     seen = set(keys)
-    if len(seen) == len(keys) and seen == expected:
-        misses = sorted((key, miss) for key, _, miss in placed if miss)
-        return Verdict.failures([f"search for {key} {miss}" for key, miss in misses])
+    # The key set is right when the keys are distinct, as many as the
+    # interval has non-holes, and all among those non-holes.
+    if len(seen) == len(keys) == len(expected) - len(holes) and seen.isdisjoint(holes) and seen <= expected:
+        # Distinct keys, so the sort never reaches the charge.
+        misses = sorted(filter(itemgetter(2), placed))
+        return Verdict.failures([f"search for {key} {miss}" for key, _, miss in misses])
+    expected -= holes
     kind = "leaf" if isinstance(tree, (Leaf, Cmp)) else "equality"
     keys.sort()
     violations = [f"duplicate {kind} key {a}" for a, b in zip(keys, keys[1:]) if a == b]

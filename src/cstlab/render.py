@@ -8,12 +8,18 @@ Tree files are parenthesized preorder text with a leading model tag; see
 the README for the grammar.  Each format has one walk for both families,
 one interpreter frame per tree level.  Before it renders, ``render_tree``
 checks the tree against its own key span from one walk of the model's
-family-free validator.
+family-free validator.  Only that gate lets the emitters read labels and
+weights by index from the instance's tuples: a valid tree places keys of
+1..n only, and each 2WCST comparison key lies between the leaf keys of its
+two branches.  A GBST split key may be any separating value, so it is read
+through the bounds-checked ``Instance.label``.  The parsers look labels up
+in the instance's one label dict.
 """
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import count, filterfalse
+from operator import itemgetter
 
 from .model import (
     EQ,
@@ -42,20 +48,24 @@ class InvalidTreeError(ValueError):
     """The tree does not validly solve its own key span."""
 
 
+def _unknown_label(exc: KeyError, lineno: int | None = None) -> ParseError:
+    """The parse error for a label the instance's label index lacks."""
+    return ParseError(f"unknown key label {exc.args[0]!r}", lineno)
+
+
 def derive_subproblem(tree, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
     """Span interval and hole set implied by a standalone tree."""
     return _span(_walk(tree), inst)
 
 
 def _span(placed, inst: Instance) -> tuple[Interval, tuple[int, ...]]:
-    keys = {key for key, _, _ in placed}
+    keys = set(map(itemgetter(0), placed))
     if not keys:
         raise InvalidTreeError("cannot render an empty tree")
     interval = Interval(min(keys), max(keys))
     if interval.i < 1 or interval.j > inst.n:
         raise InvalidTreeError("tree keys out of range for the instance")
-    holes = tuple(k for k in interval.keys() if k not in keys)
-    return interval, holes
+    return interval, tuple(filterfalse(keys.__contains__, interval.keys()))
 
 
 def render_tree(tree, fmt: str, inst: Instance) -> str:
@@ -79,7 +89,7 @@ def render_tree(tree, fmt: str, inst: Instance) -> str:
 
 def _dot(tree, inst: Instance) -> str:
     lines = ["digraph cst {", "  node [shape=box];"]
-    label, weight, ids = inst.label, inst.weight, count()
+    label, labels, weights, ids = inst.label, inst.labels, inst.weights, count()
 
     def emit(node) -> str:
         nid = f"n{next(ids)}"
@@ -94,7 +104,7 @@ def _dot(tree, inst: Instance) -> str:
             mark, first_edge, second_edge = _OP_MARK[node.op], "yes", "no"
         else:
             key, mark, first, second = node.key, "", None, None
-        lines.append(f'  {nid} [label="{mark}{label(key)}:{weight(key)}"];')
+        lines.append(f'  {nid} [label="{mark}{labels[key - 1]}:{weights[key - 1]}"];')
         if first is not None:
             lines.append(f'  {nid} -> {emit(first)} [label="{first_edge}"];')
         if second is not None:
@@ -112,7 +122,7 @@ def _dot(tree, inst: Instance) -> str:
 
 def _ascii(tree, inst: Instance) -> str:
     lines: list[str] = []
-    label, weight = inst.label, inst.weight
+    labels, weights = inst.labels, inst.weights
 
     def emit(node, pad: str, marker: str) -> None:
         if type(node) is GbstNode:
@@ -123,7 +133,7 @@ def _ascii(tree, inst: Instance) -> str:
             mark, first_marker, second_marker = _OP_MARK[node.op], "y: ", "n: "
         else:
             key, mark, first, second = node.key, "", None, None
-        lines.append(f"{pad}{marker}{mark}{label(key)} ({weight(key)})")
+        lines.append(f"{pad}{marker}{mark}{labels[key - 1]} ({weights[key - 1]})")
         pad += "  "
         if first is not None:
             emit(first, pad, first_marker)
@@ -148,7 +158,7 @@ def parse_ascii(text: str, inst: Instance):
     A child sits one level below its parent under one of its family's two
     markers, each used at most once; a comparison needs both.
     """
-    entries = []
+    entries, index = [], inst._index
     try:
         for lineno, raw in enumerate(text.splitlines(), 1):
             if raw.strip():
@@ -156,9 +166,9 @@ def parse_ascii(text: str, inst: Instance):
                 if m is None:
                     raise ParseError(f"bad ascii tree line {raw!r}", lineno)
                 indent, marker, op, name, _ = m.groups()
-                entries.append((len(indent) // 2, marker, op, inst.index(name), lineno))
+                entries.append((len(indent) // 2, marker, op, index[name], lineno))
     except KeyError as exc:
-        raise ParseError(str(exc), lineno) from None
+        raise _unknown_label(exc, lineno) from None
     if not entries:
         raise ParseError("empty ascii tree")
     twcst = any(e[1] in ("y", "n") or e[2] for e in entries)
@@ -203,7 +213,7 @@ def parse_ascii(text: str, inst: Instance):
 # ---------------------------------------------------------------------------
 
 def _ifelse(tree, inst: Instance) -> str:
-    label = inst.label
+    label, labels = inst.label, inst.labels
     # Each line's depth, then its text; indents are made at the join, as held
     # indent strings or pair tuples would swell a failing too-deep render.
     lines: list = []
@@ -214,14 +224,14 @@ def _ifelse(tree, inst: Instance) -> str:
             add((depth, "unreachable"))
             return
         if type(node) is GbstNode and (node.left is not None or node.right is not None):
-            eq = label(node.eq)
+            eq = labels[node.eq - 1]
             add((depth, f"if (x == {eq}) return {eq}", depth, f"if (x < {label(node.split)}) {{"))
             first, second = node.left, node.right
         elif type(node) is Cmp:
-            add((depth, f"if (x {'==' if node.op == EQ else '<'} {label(node.key)}) {{"))
+            add((depth, f"if (x {'==' if node.op == EQ else '<'} {labels[node.key - 1]}) {{"))
             first, second = node.yes, node.no
         else:
-            add((depth, f"return {label(node.eq if type(node) is GbstNode else node.key)}"))
+            add((depth, f"return {labels[(node.eq if type(node) is GbstNode else node.key) - 1]}"))
             return
         emit(first, depth + 1)
         add((depth, "} else {"))
@@ -263,43 +273,40 @@ def parse_tree_file(text: str, inst: Instance) -> tuple[str, object]:
         raise ParseError(f"tree file must start with a model tag, got {model!r}")
     body = " ".join(stripped[1:])
     tokens = _TOKEN.findall(body)
-    if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", body):
+    if "".join(tokens) != "".join(body.split()):
         raise ParseError("tree expression contains unexpected characters")
-    gbst, rest = model == GBSPLIT, iter(tokens)
-
-    def take() -> str:
-        tok = next(rest, None)
-        if tok is None:
-            raise ParseError("unexpected end of tree expression")
-        return tok
+    gbst, rest, index = model == GBSPLIT, iter(tokens), inst._index
+    take = rest.__next__  # StopIteration ends the parse below
 
     def parse():
         tok = take()
         if tok == "(":
             if gbst:
                 eq_label, _, split_label = take().partition(":")
-                split = inst.index(split_label) if split_label else None
+                split = index[split_label] if split_label else None
             else:
                 op = take()
                 if op not in _MARK_OP:
                     raise ParseError(f"expected '=' or '<', got {op!r}")
-                key = inst.index(take())
+                key = index[take()]
             first, second = parse(), parse()
             if take() != ")":
                 raise ParseError("expected ')' in tree expression")
             if gbst:
-                return GbstNode(inst.index(eq_label), split=split, left=first, right=second)
+                return GbstNode(index[eq_label], split=split, left=first, right=second)
             return Cmp(_MARK_OP[op], key, yes=first, no=second)
         if gbst and tok == ".":
             return None
         if tok in (")", ".", "=", "<"):
             raise ParseError(f"unexpected token {tok!r}")
-        return GbstNode(inst.index(tok)) if gbst else Leaf(inst.index(tok))
+        return GbstNode(index[tok]) if gbst else Leaf(index[tok])
 
     try:
         tree = parse()
     except KeyError as exc:
-        raise ParseError(str(exc)) from None
+        raise _unknown_label(exc) from None
+    except StopIteration:
+        raise ParseError("unexpected end of tree expression") from None
     if next(rest, None) is not None:
         raise ParseError("trailing tokens in tree expression")
     if tree is None:

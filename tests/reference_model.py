@@ -9,16 +9,23 @@ queries between two members, by bisecting the sorted queries;
 ``test_oracle.py`` requires the position arithmetic that replaced it to
 give the same lists.
 
+Also ``cstlab.model._walk`` as it first stood, with ``max``/``min`` calls
+for the routing bounds; ``test_model_reference.py`` requires the walk that
+replaced it to return the identical list on every tree, valid or not.
+
 Kept verbatim apart from the imports and the depth sequences, which are
 passed as the tuples (d, e) of ``cstlab.oracle.depth_seq``.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from cstlab.model import (
     EQ,
+    GBSPLIT,
+    LT,
+    TWCST,
     Cmp,
     GbstNode,
     GbstTree,
@@ -27,7 +34,6 @@ from cstlab.model import (
     Leaf,
     TwcstTree,
     Verdict,
-    _walk,
 )
 
 __all__ = [
@@ -281,3 +287,80 @@ def depth_bound_violations(tree: TwcstTree, d: tuple, e: tuple) -> list[str]:
                         f"nearly separated {subset}: total depth {total} < e_{m}={e[m - 1]}"
                     )
     return violations
+
+
+# ---------------------------------------------------------------------------
+# The family-free walk as it first stood
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _walk(tree) -> list[tuple[int, int, Optional[str]]]:
+    """Every key *tree* places, with its charge and where its search ends.
+
+    A placed key is a GBST node's equality key, charged depth + 1, or a
+    2WCST leaf key, charged the comparisons above it.  The third entry is
+    None when the search for the key ends where the key sits; otherwise it
+    ends a violation line: ``stuck at node X (no split key)`` when the
+    search reaches X, the key's first split-less GBST ancestor, else
+    ``does not reach its node`` (or ``its leaf``).
+
+    One pass, O(nodes), on an explicit stack for trees of any depth.  Each
+    entry carries the routing bounds [lo, hi) of the values that reach it:
+    a split or ``<`` test narrows them, an ``=`` test's yes branch narrows
+    them to its key, and its no branch excludes the key until the walk
+    leaves it (a GBST key repeated below its node is placed twice, which the
+    verdict reports).  Below a split-less GBST node the bounds stay at that
+    node's.  A node not of the root's family raises TypeError.
+    """
+    if tree is None:
+        return []
+    gbst = type(tree) is GbstNode
+    placed = []
+    excluded: set[int] = set()
+    # Entries are (node, charge, lo, hi, first split-less GBST ancestor),
+    # or a bare key to drop from *excluded* once its branch is done.
+    stack: list = [(tree, 1 if gbst else 0, -_INF, _INF, None)]
+    while stack:
+        entry = stack.pop()
+        if type(entry) is int:
+            excluded.discard(entry)
+            continue
+        node, charge, lo, hi, stuck = entry
+        kind = type(node)
+        if kind is GbstNode and gbst:
+            key, left, right, split = node.eq, node.left, node.right, node.split
+            if not lo <= key < hi:
+                placed.append((key, charge, "does not reach its node"))
+            elif stuck is not None:
+                placed.append((key, charge, f"stuck at node {stuck} (no split key)"))
+            else:
+                placed.append((key, charge, None))
+            if left is None and right is None:
+                continue
+            if stuck is None and split is None:
+                stuck = key
+            charge += 1
+            if right is not None:
+                stack.append((right, charge, lo if stuck is not None else max(lo, split), hi, stuck))
+            if left is not None:
+                stack.append((left, charge, lo, hi if stuck is not None else min(hi, split), stuck))
+        elif kind is Cmp and not gbst:
+            key, charge = node.key, charge + 1
+            if node.op == LT:
+                stack.append((node.no, charge, max(lo, key), hi, None))
+                stack.append((node.yes, charge, lo, min(hi, key), None))
+            else:
+                stack.append((node.yes, charge, max(lo, key), min(hi, key + 1), None))
+                if key not in excluded:
+                    excluded.add(key)
+                    stack.append(key)
+                stack.append((node.no, charge, lo, hi, None))
+        elif kind is Leaf and not gbst:
+            key = node.key
+            reached = lo <= key < hi and key not in excluded
+            placed.append((key, charge, None if reached else "does not reach its leaf"))
+        else:
+            raise TypeError(f"{node!r} is not a {GBSPLIT if gbst else TWCST} tree node")
+    return placed

@@ -465,6 +465,16 @@ class TestOtherCommands:
         )
         assert rc == 3
 
+    def test_render_unknown_label(self, i9_file, tmp_path, capsys):
+        tree_file = tmp_path / "tree.txt"
+        tree_file.write_text("gbsplit\n(A2:A1 A1 ZZ)\n")
+        rc = main(
+            ["render", "--instance", i9_file, "--tree", str(tree_file),
+             "--format", "ascii"]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == "error: unknown key label 'ZZ'\n"
+
     def test_render_non_utf8_tree_exit_3(self, i9_file, tmp_path, capsys):
         tree_file = tmp_path / "tree.txt"
         tree_file.write_bytes(b"gbsplit\n(A:\xffB . B)\n")

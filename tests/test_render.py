@@ -5,6 +5,7 @@ import pytest
 
 import reference_exhibits
 import reference_render
+from cstlab import render
 from cstlab.bench import build_instance, exhibit
 from cstlab.model import (
     EQ,
@@ -16,6 +17,7 @@ from cstlab.model import (
     ParseError,
 )
 from cstlab.render import (
+    FORMATS,
     InvalidTreeError,
     derive_subproblem,
     parse_ascii,
@@ -168,18 +170,36 @@ class TestValidityGate:
         assert holes == (3, 5)
 
 
+    @pytest.mark.parametrize("name, inst", [("fig2_a", I9), ("fig4_a", I8)])
+    def test_render_tree_walks_the_tree_once(self, name, inst, monkeypatch):
+        tree, walk, walked = exhibit(name, inst), render._walk, []
+
+        def counting_walk(node):
+            walked.append(node)
+            return walk(node)
+
+        monkeypatch.setattr(render, "_walk", counting_walk)
+        for fmt in FORMATS:
+            walked.clear()
+            render_tree(tree, fmt, inst)
+            assert walked == [tree]
+
     @pytest.mark.parametrize("family", ["gbst", "twcst"])
-    @pytest.mark.parametrize("stray", ["0", "n + 1"])
+    @pytest.mark.parametrize("stray", ["-1", "0", "n + 1"])
     def test_rejects_keys_outside_the_instance(self, family, stray):
+        # The emitters read labels and weights by index once the gate has
+        # passed the tree, so a stray key must stop at the gate in every
+        # format: key -1 would otherwise print the last key's label.
         inst = I9 if family == "gbst" else I8
-        key = 0 if stray == "0" else inst.n + 1
+        key = {"-1": -1, "0": 0, "n + 1": inst.n + 1}[stray]
         if family == "gbst":
             tree = GbstNode(2, split=2, left=GbstNode(1), right=GbstNode(key))
         else:
             tree = Cmp(LT, 2, yes=Leaf(1), no=Leaf(key))
         message = "tree keys out of range for the instance"
-        with pytest.raises(InvalidTreeError, match=f"^{message}$"):
-            render_tree(tree, "ascii", inst)
+        for fmt in FORMATS:
+            with pytest.raises(InvalidTreeError, match=f"^{message}$"):
+                render_tree(tree, fmt, inst)
         with pytest.raises(InvalidTreeError, match=f"^{message}$"):
             derive_subproblem(tree, inst)
 
@@ -221,8 +241,30 @@ class TestTreeFiles:
             parse_tree_file("(A1 . .)\n", I9)
 
     def test_unknown_label(self):
-        with pytest.raises(ParseError, match="unknown key"):
-            parse_tree_file("gbsplit\n(ZZ . .)\n", I9)
+        for text in (
+            "gbsplit\n(ZZ . .)\n",  # an equality label
+            "gbsplit\n(A2:ZZ A1 B0)\n",  # a split label
+            "gbsplit\nZZ\n",  # a bare GBST leaf
+            "twcst\n(<ZZ A1 A2)\n",  # a 2WCST comparison key
+            "twcst\n(<A2 A1 ZZ)\n",  # a 2WCST leaf
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_tree_file(text, I9)
+            assert str(info.value) == "unknown key label 'ZZ'"
+
+    def test_truncated_expression(self):
+        for text in ("gbsplit\n", "gbsplit\n(A2:A1 A1\n", "twcst\n(<\n", "twcst\n(<A2 A1 A2\n"):
+            with pytest.raises(ParseError) as info:
+                parse_tree_file(text, I9)
+            assert str(info.value) == "unexpected end of tree expression"
+
+    def test_unexpected_characters(self):
+        with pytest.raises(ParseError) as info:
+            parse_tree_file("gbsplit\n(A2:A1 A1 ;)\n", I9)
+        assert str(info.value) == "tree expression contains unexpected characters"
+        # Any whitespace separates tokens.
+        _, tree = parse_tree_file("gbsplit\n(A2:A1\tA1\x0b.\u3000)\n", I9)
+        assert tree == GbstNode(2, split=1, left=GbstNode(1))
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
@@ -266,3 +308,6 @@ class TestAsciiMalformed:
     def test_error_names_the_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_ascii("A2 (20)\n  L: A1 (20)\n  L: B0 (20)", I9)
+        with pytest.raises(ParseError) as info:
+            parse_ascii("A2 (20)\n  L: ZZ (1)", I9)
+        assert str(info.value) == "line 2: unknown key label 'ZZ'"
