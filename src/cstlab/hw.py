@@ -25,29 +25,23 @@ split position, then smallest h1.
 The fill is :class:`~cstlab.model.DpTable`'s.  Split s = i with h1 = 0
 (one child, on the right) is its equality candidate, tried first; split
 s = j+1 (one child, on the left) is never tried, as it offers the same
-cost and key.  The fill gathers the base costs of every split candidate
-of I, for all h at once, from its per-key stores of finished rows, and
+cost and key.  The fill gathers the bases of every split candidate of I,
+for all h at once, from its per-key stores of finished rows, and
 ``_best_split`` scans cell h's slice ``bases[a:b]`` of them.
 
-The scan compares one int per candidate.  With N = n + 1, above every
-key, a candidate of cost c and root key e scores c*N + e, so scores order
-candidates by (cost, e).  The stores hold cw*N and, for the free key f
-of a row, fk = w(f)*N + f; a row that places every key stores a sentinel
-above every real fk, derived from the largest weight.  Ranks run in
-(weight, index) order, and the two sides partition I, so the candidate's
-root key is the lighter of its sides' free keys and it scores
-cwN_l + cwN_r + min(fk_l, fk_r); a split leaves h + 1 >= 1 holes, so one
-side always has a free key.  The equality candidate's score starts
-as the best, and a split must score strictly below the best to replace
-it, so the equality candidate and then the earliest split (s, then h1)
-win full ties.  No free key of I encodes below I's least key, fk_least,
-so a split whose base is at least best - fk_least is skipped before its
-free keys are read.  ``_tree`` joins the rebuilt children under e with
-:func:`~cstlab.model.gbst_join`.
+The scan compares one int per candidate, its score cost*N + e in the
+fill's encoding.  Ranks run in (weight, index) order, and the two sides
+partition I, so the candidate's root key is the lighter of its sides'
+free keys and it scores base + min(fk_l, fk_r); a split leaves h + 1 >= 1
+holes, so one side always has a free key.  The equality candidate's score
+starts as the best, and a split must score strictly below the best to
+replace it, so the equality candidate and then the earliest split (s,
+then h1) win full ties.  No free key of I encodes below I's least key,
+fk_least, so a split whose base is at least best - fk_least is skipped
+before its free keys are read.  ``_tree`` joins the rebuilt children under
+e with :func:`~cstlab.model.gbst_join`.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 from .model import DpTable, GbstTree, gbst_join
 
@@ -57,26 +51,10 @@ __all__ = ["HwTable", "hw_solve"]
 class HwTable(DpTable):
     """The HW DP over every (i, j, h) inside a root interval, h <= |I|."""
 
-    @cached_property
-    def _encoding(self) -> tuple[int, tuple[int, ...]]:
-        """N = n + 1 and fk by rank, w*N + key, with the no-free-key rank n
-        last as the sentinel (wmax + 1) * N."""
-        scale = self.inst.n + 1
-        fk = [w * scale + key for w, key in zip(self._weight_at_rank, self._key_at_rank)]
-        fk.append((self._weight_at_rank[-1] + 1) * scale)
-        return scale, tuple(fk)
-
-    def _stored(self, cw_row, free_row):
-        scale, fk = self._encoding
-        return list(map(scale.__mul__, cw_row)), list(map(fk.__getitem__, free_row))
-
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least, fk_l, fk_r, at_l, at_r):
-        """The least score cost*N + e in the cell, the equality candidate's
-        first: *bases* hold cwN_l + cwN_r and *fk_l*/*fk_r* the sides'
-        stored fk entries (see the module docstring)."""
-        scale, fk = self._encoding
-        fk_least = fk[least]
-        best, best_k = eq_cost * scale + eq_e, -1
+    def _best_split(self, bases, a, b, eq, fk_least, fk_l, fk_r, at_l, at_r):
+        """The least score in the cell, the equality candidate's first (see
+        the module docstring)."""
+        best, best_k = eq, -1
         limit = best - fk_least
         for k, base in enumerate(bases[a:b], a):
             if base >= limit:  # scores at least best
@@ -87,8 +65,7 @@ class HwTable(DpTable):
             if score < best:
                 best, best_k = score, k
                 limit = score - fk_least
-        cost, e = divmod(best, scale)
-        return cost, best_k, e
+        return best, best_k
 
     def _tree(self, i: int, j: int, h: int) -> GbstTree:
         choice = self._rows[(i, j)][3][h] if i <= j else None

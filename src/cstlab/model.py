@@ -653,14 +653,19 @@ class DpTable:
     A subproblem must keep ``min_queries`` keys, so h runs over
     0..|I| - min_queries.  ``_fill`` writes the table's one store:
     ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, five
-    lists indexed by h, namely the cost, the cost + weight, ``used_perm``
-    (the keys placed, as a rank mask), the backpointer (None at the base)
-    and ``free``, the rank of the least-weight key of [i, j] that the cell
-    leaves unplaced (n when it places every key).  The table ranks its keys
-    by (weight, index) and keeps the encoding: ``_key_at_rank``,
-    ``_weight_at_rank`` and ``_bit``, key k's rank bit.  No tree is stored:
-    ``result`` rebuilds one from the backpointers through the subclass's
-    ``_tree(i, j, h)``.
+    lists indexed by h, namely the cost, ``cw`` (the cost + weight, times
+    N), ``used_perm`` (the keys placed, as a rank mask), the backpointer
+    (None at the base) and ``free``, the encoded least-weight key of [i, j]
+    that the cell leaves unplaced.  The table ranks its keys by (weight,
+    index): ``_key_at_rank``, and ``_bit``, key k's rank bit.  No tree is
+    stored: ``result`` rebuilds one from the backpointers through the
+    subclass's ``_tree(i, j, h)``.
+
+    The encoding lets one int rank a candidate by (cost, root key).  With
+    N = n + 1, above every key, a candidate of cost c and root key e scores
+    c*N + e, and one with no root key (a Spuler split) c*N.  ``_fk`` holds
+    by rank a key's w*N + key and, last, the sentinel (wmax + 1) * N, above
+    every key's, which ``free`` holds for a cell that places every key.
 
     Both DPs share one fill.  Intervals run by ascending length.  The base
     h = |I| - min_queries is the empty tree (cost 0) when no key need stay,
@@ -669,31 +674,27 @@ class DpTable:
     candidate costs its weight plus its children's costs:
 
     * the equality candidate: the (I, h+1) result under the least-weight
-      key e of I that it does not place (rank ``free[h+1]``), at cost
-      ``cw[h+1] + w(e)``;
+      key e of I that it does not place, scoring ``cw[h+1] + free[h+1]``
+      (the result leaves h + 1 >= 1 keys unplaced, so e exists);
     * a split at s = i+1..j over the results for ([i, s-1], h1) and
-      ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base cost is the
-      sum of its children's cost + weight entries.  Each finished cw and
-      free row joins two per-key stores, ordered by length, of the
-      intervals that start at a key and that end at it, so when I starts,
-      those of i and j hold exactly its left and right sides.  What a row
-      adds to the stores is the subclass's ``_stored``: Spuler's cw and
-      free rows themselves, or HW's cw * N and encoded free keys, from
-      which one int per split candidate ranks it by (cost, key) (see
-      :mod:`cstlab.hw`).  [i, hi] is the last interval to read i's start
-      stores, and [lo, j] the last to read j's end stores, so the fill
-      drops them there.  From the stores, one ``itemgetter`` call per side
-      gathers the base costs of every h of I at once, at positions that
-      ``_split_gathers`` shares among all tables; cell h's candidates are
-      the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
+      ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base is the sum of
+      its sides' cw entries.  Each finished cw and free row joins two
+      per-key stores, ordered by length, of the intervals that start at a
+      key and that end at it, so when I starts, those of i and j hold
+      exactly its left and right sides.  [i, hi] is the last interval to
+      read i's start stores, and [lo, j] the last to read j's end stores,
+      so the fill drops them there.  From the stores, one ``itemgetter``
+      call per side gathers the bases of every h of I at once, at positions
+      that ``_split_gathers`` shares among all tables; cell h's candidates
+      are the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
       ``split_of``, one map per table from left positions to (size_l, h1),
       built for the root length in O(n^2): every shorter length's left rows
       are a prefix of it.
 
-    The subclass's ``_best_split`` picks the winner and says which root key
-    a split candidate has.  The backpointer is (s, h1, h2, e): s = i marks
-    the equality candidate, stored as (i, 0, h + 1, e), and e is None for a
-    split that places no key at its root.
+    The subclass's ``_best_split`` picks the winner's score, from which the
+    fill decodes its cost and root key.  The backpointer is (s, h1, h2, e):
+    s = i marks the equality candidate, stored as (i, 0, h + 1, e), and e
+    is None for a split that places no key at its root.
     """
 
     min_queries = 0
@@ -710,7 +711,9 @@ class DpTable:
         # least-weight key of a set is its mask's lowest bit.
         order = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
         self._key_at_rank = tuple(order)
-        self._weight_at_rank = tuple(inst.weight(k) for k in order)
+        self._scale = scale = inst.n + 1
+        self._fk = [inst.weight(k) * scale + k for k in order]
+        self._fk.append((inst.weight(order[-1]) + 1) * scale)
         self._bit = bit = [0] * (inst.n + 1)
         for rank, key in enumerate(order):
             bit[key] = 1 << rank
@@ -723,27 +726,21 @@ class DpTable:
         check_hole_count(h, interval, cls.min_queries)
         return cls(inst, interval).result(interval.i, interval.j, h)
 
-    def _stored(self, cw_row: list, free_row: list) -> tuple[list, list]:
-        """What a finished row adds to the per-key stores: the cw and free
-        rows themselves."""
-        return cw_row, free_row
-
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least, free_l, free_r, at_l, at_r) -> tuple:
-        """A cell's winner (cost, k, e): k = -1 for the equality candidate
-        (*eq_cost*, key *eq_e*), else an index in a..b-1 into *bases*, the
-        base costs of the interval's split candidates (the sums of their
-        sides' stored cw entries), whose slice ``bases[a:b]`` is the cell's.
-        Candidate k's sides have stored free entries ``free_l[at_l[k]]`` and
-        ``free_r[at_r[k]]``; *least* is the least rank in I."""
+    def _best_split(self, bases, a, b, eq, fk_least, fk_l, fk_r, at_l, at_r) -> tuple:
+        """A cell's winner (score, k): k = -1 for the equality candidate,
+        which scores *eq*, else an index in a..b-1 into *bases*, the bases
+        of the interval's split candidates, whose slice ``bases[a:b]`` is
+        the cell's.  Candidate k's sides have free entries
+        ``fk_l[at_l[k]]`` and ``fk_r[at_r[k]]``; *fk_least* is I's least
+        key encoded, below every free entry of I."""
         raise NotImplementedError
 
     def _fill(self) -> None:
         m = self.min_queries
-        key_at_rank, weight_at_rank, bit = self._key_at_rank, self._weight_at_rank, self._bit
-        best_split, stored = self._best_split, self._stored
+        key_at_rank, fk, bit, scale = self._key_at_rank, self._fk, self._bit, self._scale
+        best_split = self._best_split
         lo, hi = self.interval.i, self.interval.j
         rows = self._rows
-        none_free = self.inst.n
         split_of = [
             (size_l, h1) for size_l in range(1, hi - lo + 1) for h1 in range(size_l + 1 - m)
         ]
@@ -757,22 +754,24 @@ class DpTable:
                 j = i + length - 1
                 iv_perm = sum(bit[i : j + 1])
                 least = (iv_perm & -iv_perm).bit_length() - 1
+                fk_least = fk[least]
                 bases = list(map(add, get_l(cw_from[i]), get_r(cw_to[j])))
                 rows[(i, j)] = cost_row, cw_row, perm_row, choice_row, free_row = (
                     [0] * size, [0] * size, [0] * size, [None] * size, [0] * size
                 )
                 if m:  # the base keeps one key: a leaf of least weight
-                    cw_row[-1] = weight_at_rank[least]
+                    cw_row[-1] = fk_least - key_at_rank[least]  # w * N
                     perm_row[-1] = 1 << least
+                # No free key is rank -1: fk's last entry, the sentinel.
                 free = iv_perm & ~perm_row[-1]
-                free_row[-1] = (free & -free).bit_length() - 1 if free else none_free
+                free_row[-1] = fk[(free & -free).bit_length() - 1]
                 for h in range(length - m - 1, -1, -1):
-                    rank = free_row[h + 1]
                     a, b = bounds[h]
-                    cost, k, e = best_split(
-                        bases, a, b, cw_row[h + 1] + weight_at_rank[rank], key_at_rank[rank],
-                        least, free_from[i], free_to[j], at_l, at_r,
+                    score, k = best_split(
+                        bases, a, b, cw_row[h + 1] + free_row[h + 1], fk_least,
+                        free_from[i], free_to[j], at_l, at_r,
                     )
+                    cost, e = divmod(score, scale)
                     # A cost is the weight plus the children's costs.
                     if k < 0:
                         s, h1, h2 = i, 0, h + 1
@@ -785,20 +784,20 @@ class DpTable:
                         weight = cost - left[0][h1] - right[0][h2]
                         placed = left[2][h1] | right[2][h2]
                     cost_row[h] = cost
-                    cw_row[h] = cost + weight
-                    perm_row[h] = placed = placed if e is None else placed | bit[e]
-                    choice_row[h] = (s, h1, h2, e)
+                    cw_row[h] = (cost + weight) * scale
+                    # e = 0 is a split without a root key, and bit[0] = 0.
+                    perm_row[h] = placed = placed | bit[e]
+                    choice_row[h] = (s, h1, h2, e or None)
                     free = iv_perm & ~placed
-                    free_row[h] = (free & -free).bit_length() - 1 if free else none_free
-                cw_add, free_add = stored(cw_row, free_row)
+                    free_row[h] = fk[(free & -free).bit_length() - 1]
                 if j < hi:
-                    cw_from[i] += cw_add
-                    free_from[i] += free_add
+                    cw_from[i] += cw_row
+                    free_from[i] += free_row
                 else:  # [i, hi] is the last interval to read them
                     cw_from[i] = free_from[i] = None
                 if i > lo:
-                    cw_to[j] += cw_add
-                    free_to[j] += free_add
+                    cw_to[j] += cw_row
+                    free_to[j] += free_row
                 else:  # [lo, j] is the last interval to read them
                     cw_to[j] = free_to[j] = None
                 # One interval's bases at a time: the next gather allocates

@@ -23,9 +23,11 @@ leaf takes the minimum-weight key (lowest index on ties).
 
 The fill is :class:`~cstlab.model.DpTable`'s, with T_= as its equality
 candidate and the T_< candidates as its splits (``min_queries`` = 1, so
-h1 + h2 = h).  ``_best_split`` is ``min`` and ``list.index`` over the
-cell's slice of their base costs, which keep the earliest of equal
-candidates.
+h1 + h2 = h).  A T_< candidate has no root key, so its score is its base,
+cost*N in the fill's encoding.  ``_best_split`` is ``min`` and
+``list.index`` over the cell's slice of the bases, which keep the
+earliest of equal candidates; T_= on e scores cost*N + e with 0 < e < N,
+so it wins when it scores below the least base + N.
 """
 from __future__ import annotations
 
@@ -50,11 +52,11 @@ class SpulerTable(DpTable):
 
     min_queries = 1
 
-    def _best_split(self, bases, a, b, eq_cost, eq_e, least, free_l, free_r, at_l, at_r):
-        cost = min(bases[a:b])
-        if eq_cost <= cost:
-            return eq_cost, -1, eq_e
-        return cost, bases.index(cost, a, b), None
+    def _best_split(self, bases, a, b, eq, fk_least, fk_l, fk_r, at_l, at_r):
+        best = min(bases[a:b])
+        if eq < best + self._scale:  # T_= costs at most the best T_<
+            return eq, -1
+        return best, bases.index(best, a, b)
 
     def _tree(self, i: int, j: int, h: int) -> TwcstTree:
         _, _, perm_row, choice_row, _ = self._rows[(i, j)]

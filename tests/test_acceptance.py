@@ -10,11 +10,9 @@ from cstlab.cli import main
 from cstlab.hw import HwTable, hw_solve
 from cstlab.model import (
     Interval,
-    gbst_cost,
-    gbst_validate,
+    tree_cost,
     tree_weight,
-    twcst_cost,
-    twcst_validate,
+    validate,
 )
 from cstlab.oracle import (
     GbstOracle,
@@ -41,27 +39,27 @@ def test_criterion_1_figure_reproduction():
     i10 = bench._prefix_instance(10)
 
     t2a, t2b = bench.exhibit("fig2_a", I9), bench.exhibit("fig2_b", I9)
-    assert gbst_cost(t2a, I9) == 209
-    assert gbst_cost(t2b, I9) == 210
+    assert tree_cost(t2a, I9) == 209
+    assert tree_cost(t2b, I9) == 210
     assert tree_weight(t2a, I9) == 97
     assert tree_weight(t2b, I9) == 95
     assert tree_weight(t2a, I9) - tree_weight(t2b, I9) == 2
 
     t4a, t4b, t4c = (bench.exhibit(name, I8) for name in ("fig4_a", "fig4_b", "fig4_c"))
-    assert (twcst_cost(t4a, I8), tree_weight(t4a, I8)) == (49, 22)
-    assert (twcst_cost(t4b, I8), tree_weight(t4b, I8)) == (50, 20)
-    assert (twcst_cost(t4c, I8), tree_weight(t4c, I8)) == (50, 20)
+    assert (tree_cost(t4a, I8), tree_weight(t4a, I8)) == (49, 22)
+    assert (tree_cost(t4b, I8), tree_weight(t4b, I8)) == (50, 20)
+    assert (tree_cost(t4c, I8), tree_weight(t4c, I8)) == (50, 20)
     assert t4b != t4c
 
     t5a, t5b = bench.exhibit("fig5_a", i10), bench.exhibit("fig5_b", i10)
-    assert (twcst_cost(t5a, i10), tree_weight(t5a, i10)) == (69, 27)
-    assert (twcst_cost(t5b, i10), tree_weight(t5b, i10)) == (70, 25)
+    assert (tree_cost(t5a, i10), tree_weight(t5a, i10)) == (69, 27)
+    assert (tree_cost(t5b, i10), tree_weight(t5b, i10)) == (70, 25)
 
     ctx_a = bench.fig2_context(5, 3, t2a)
     ctx_b = bench.fig2_context(8, 3, t2b)
-    assert gbst_cost(ctx_a, I9) == 463
-    assert gbst_cost(ctx_b, I9) == 462
-    assert gbst_cost(ctx_b, I9) - gbst_cost(ctx_a, I9) == -1
+    assert tree_cost(ctx_a, I9) == 463
+    assert tree_cost(ctx_b, I9) == 462
+    assert tree_cost(ctx_b, I9) - tree_cost(ctx_a, I9) == -1
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"figure reproduction took {elapsed:.2f}s"
@@ -76,8 +74,8 @@ def test_criterion_2_theorem1():
     assert hw_time < 5.0, f"hw on n=31 took {hw_time:.2f}s"
 
     witness = bench.exhibit("fig3", I31)
-    assert gbst_cost(witness, I31) == 1762
-    assert gbst_validate(witness, full, (), I31).ok
+    assert tree_cost(witness, I31) == 1762
+    assert validate(witness, full, (), I31).ok
     assert placement_lower_bound(I31) == 1757
 
     t1 = time.perf_counter()
@@ -97,7 +95,7 @@ def test_criterion_3_theorem2():
     cost, tree, holes = oracle.opt_star(I15.full_interval(), 2)
     elapsed = time.perf_counter() - t0
     assert cost == 115
-    assert twcst_validate(tree, I15.full_interval(), holes, I15).ok
+    assert validate(tree, I15.full_interval(), holes, I15).ok
     assert elapsed < 300.0, f"oracle over 105 hole sets took {elapsed:.1f}s"
 
     bad = falsify.audit_subproblems(falsify.TWCST, I15)
@@ -142,14 +140,14 @@ def test_criterion_6_property_suite():
             exact = go.opt_star_cost(iv, h)
             assert flawed >= exact, (inst.weights, i, j, h)  # (a)
             r = hw.result(i, j, h)
-            assert gbst_validate(r.tree, iv, r.holes_in(iv), inst).ok  # (b)
+            assert validate(r.tree, iv, r.holes_in(iv), inst).ok  # (b)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 iv = Interval(i, j)
                 prev = None
                 for h in range(j - i + 2):
                     cost, tree, holes = go.opt_star(iv, h)
-                    assert gbst_validate(tree, iv, holes, inst).ok  # (b)
+                    assert validate(tree, iv, holes, inst).ok  # (b)
                     if prev is not None:
                         assert cost <= prev  # (c)
                     prev = cost
@@ -164,14 +162,14 @@ def test_criterion_6_property_suite():
             assert flawed >= exact, (inst.weights, i, j, h)  # (a)
             assert exact == to_raw.star(i, j, h)[0], (inst.weights, i, j, h)  # (d)
             r = sp.result(i, j, h)
-            assert twcst_validate(r.tree, iv, r.holes_in(iv), inst).ok  # (b)
+            assert validate(r.tree, iv, r.holes_in(iv), inst).ok  # (b)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 iv = Interval(i, j)
                 prev = None
                 for h in range(j - i + 1):
                     cost, tree, holes = to.opt_star(iv, h)
-                    assert twcst_validate(tree, iv, holes, inst).ok  # (b)
+                    assert validate(tree, iv, holes, inst).ok  # (b)
                     if prev is not None:
                         assert cost <= prev  # (c)
                     prev = cost

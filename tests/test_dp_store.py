@@ -1,5 +1,5 @@
-"""The DP row store's free-rank column, the flat split layouts that every
-table in a process shares, and each table's own split map."""
+"""The DP row store's encoded free-key column, the flat split layouts
+that every table in a process shares, and each table's own split map."""
 import random
 import tracemalloc
 
@@ -29,13 +29,17 @@ def _reference_seeds():
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_free_is_the_least_unplaced_rank(name):
-    """free[h] is the lowest rank of [i, j] minus the keys cell h places,
-    and the sentinel n exactly when the cell places every key."""
+    """free[h] is fk of the lowest rank of [i, j] minus the keys cell h
+    places, w * (n + 1) + key, and fk of rank n, the sentinel
+    (wmax + 1) * (n + 1), exactly when the cell places every key."""
     for inst, interval in _reference_seeds():
         table = TABLES[name][0](inst, interval)
         # Rank r is the r-th key by ascending (weight, index).
         by_weight = sorted(range(1, inst.n + 1), key=lambda k: (inst.weight(k), k))
         rank_of = {key: rank for rank, key in enumerate(by_weight)}
+        scale = inst.n + 1
+        fk = [inst.weight(k) * scale + k for k in by_weight]
+        fk.append((max(inst.weights) + 1) * scale)
         for (i, j), (_, _, used_perm, _, free) in table._rows.items():
             assert len(free) == len(used_perm)
             for h, placed in enumerate(used_perm):
@@ -43,7 +47,7 @@ def test_free_is_the_least_unplaced_rank(name):
                     rank_of[k] for k in range(i, j + 1) if not placed >> rank_of[k] & 1
                 ]
                 want = min(unplaced, default=inst.n)
-                assert free[h] == want, (name, inst.weights, (i, j, h))
+                assert free[h] == fk[want], (name, inst.weights, (i, j, h))
 
 
 def _candidates(length, min_queries, h):
@@ -181,7 +185,7 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
     """The root length is past the cap, so its layout is built per table;
     the winners read their (s, h1) from the table's one split map, and each
     root-interval cell's rebuilt tree is valid and has the cell's cost and
-    the weight its cost + weight row stores."""
+    the weight its cost + weight row stores, times n + 1."""
     inst = random_instance(model.LAYOUT_CACHE_MAX_LENGTH + 1, 1000, 9407)
     table = TABLES[name][0](inst)
     full = inst.full_interval()
@@ -190,7 +194,7 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
         r = table.result(1, inst.n, h)
         assert model.validate(r.tree, full, r.holes_in(full), inst).ok, h
         got = (model.tree_cost(r.tree, inst), model.tree_weight(r.tree, inst))
-        assert got == (r.cost, cw_row[h] - cost_row[h]), h
+        assert got == (r.cost, cw_row[h] // (inst.n + 1) - cost_row[h]), h
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))

@@ -4,7 +4,7 @@ import pytest
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable, hw_solve
-from cstlab.model import Interval, gbst_cost, gbst_validate, tree_weight
+from cstlab.model import Interval, tree_cost, tree_weight, validate
 from cstlab.oracle import GbstOracle
 
 I9 = build_instance("I9").instance
@@ -27,7 +27,7 @@ class TestHwSolve:
     def test_result_consistency(self):
         iv = I9.full_interval()
         r = hw_solve(I9, iv, 2)
-        assert r.cost == gbst_cost(r.tree, I9)
+        assert r.cost == tree_cost(r.tree, I9)
         holes_weight = sum(I9.weight(k) for k in r.holes_in(iv))
         assert tree_weight(r.tree, I9) == sum(I9.weights) - holes_weight
         assert len(r.holes_in(iv)) == 2
@@ -62,7 +62,7 @@ class TestHwTable:
             for i, j, h in table.cells():
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
-                assert gbst_validate(r.tree, iv, r.holes_in(iv), inst).ok
+                assert validate(r.tree, iv, r.holes_in(iv), inst).ok
                 assert len(r.holes_in(iv)) == h
                 assert len(list(gbst_nodes(r.tree))) == j - i + 1 - h
 

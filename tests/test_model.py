@@ -15,13 +15,11 @@ from cstlab.model import (
     Leaf,
     ParseError,
     format_instance,
-    gbst_cost,
-    gbst_validate,
     parse_instance,
     replace_subtree,
+    tree_cost,
     tree_weight,
-    twcst_cost,
-    twcst_validate,
+    validate,
 )
 
 I9 = Instance(
@@ -140,42 +138,42 @@ class TestKeyAccessors:
 class TestGbstCost:
     def test_fig1_scaled(self):
         inst, tree = fig1()
-        assert gbst_cost(tree, inst) == 20
+        assert tree_cost(tree, inst) == 20
 
     def test_single_node(self):
         inst = Instance(("A",), (7,))
-        assert gbst_cost(GbstNode(1), inst) == 7
+        assert tree_cost(GbstNode(1), inst) == 7
 
     def test_t2a(self):
-        assert gbst_cost(t2a(), I9) == 209
+        assert tree_cost(t2a(), I9) == 209
         assert tree_weight(t2a(), I9) == 97
 
     def test_empty(self):
-        assert gbst_cost(None, I9) == 0
+        assert tree_cost(None, I9) == 0
 
     def test_recursive_identity(self):
         tree = t2a()
-        assert gbst_cost(tree, I9) == (
-            tree_weight(tree, I9) + gbst_cost(tree.left, I9) + gbst_cost(tree.right, I9)
+        assert tree_cost(tree, I9) == (
+            tree_weight(tree, I9) + tree_cost(tree.left, I9) + tree_cost(tree.right, I9)
         )
 
     def test_key_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            gbst_cost(GbstNode(10), I9)
+            tree_cost(GbstNode(10), I9)
 
     @given(st.integers(min_value=1, max_value=50))
     def test_scaling_linearity(self, c):
         scaled = I9.scaled(c)
-        assert gbst_cost(t2a(), scaled) == c * 209
+        assert tree_cost(t2a(), scaled) == c * 209
 
 
 class TestGbstValidate:
     def test_t2a_valid(self):
-        assert gbst_validate(t2a(), I9.full_interval(), (3, 5), I9).ok
+        assert validate(t2a(), I9.full_interval(), (3, 5), I9).ok
 
     def test_empty_tree_all_holes(self):
         iv = Interval(2, 4)
-        assert gbst_validate(None, iv, (2, 3, 4), I9).ok
+        assert validate(None, iv, (2, 3, 4), I9).ok
 
     def test_swapped_keys_invalid(self):
         # B0 (4) and E0 (9) exchanged: searches route to the wrong nodes.
@@ -186,27 +184,27 @@ class TestGbstValidate:
             left=N(1, split=6, left=N(9), right=N(6)),
             right=N(8, split=9, left=N(7), right=N(4)),
         )
-        verdict = gbst_validate(bad, I9.full_interval(), (3, 5), I9)
+        verdict = validate(bad, I9.full_interval(), (3, 5), I9)
         assert not verdict.ok
         assert any("search for 4" in v for v in verdict.violations)
 
     def test_missing_key(self):
-        verdict = gbst_validate(GbstNode(1), Interval(1, 2), (), I9)
+        verdict = validate(GbstNode(1), Interval(1, 2), (), I9)
         assert not verdict.ok
         assert any("missing" in v for v in verdict.violations)
 
     def test_hole_outside_interval_rejected(self):
         with pytest.raises(ValueError, match="contained"):
-            gbst_validate(None, Interval(1, 2), (5,), I9)
+            validate(None, Interval(1, 2), (5,), I9)
 
     def test_single_child_routing(self):
         # Child on the right under split = interval start routes everything.
         chain = GbstNode(2, split=1, right=GbstNode(1))
-        assert gbst_validate(chain, Interval(1, 2), (), I9).ok
+        assert validate(chain, Interval(1, 2), (), I9).ok
 
     def test_stuck_without_split(self):
         chain = GbstNode(2, split=None, right=GbstNode(1))
-        verdict = gbst_validate(chain, Interval(1, 2), (), I9)
+        verdict = validate(chain, Interval(1, 2), (), I9)
         assert not verdict.ok
         assert any("no split key" in v for v in verdict.violations)
 
@@ -214,7 +212,7 @@ class TestGbstValidate:
         # Key 2 sits at the root and again below it: the key-set violation
         # is the whole verdict, with no search line for either copy.
         tree = GbstNode(2, split=2, left=GbstNode(1), right=GbstNode(3, split=2, right=GbstNode(2)))
-        verdict = gbst_validate(tree, Interval(1, 3), (), I9)
+        verdict = validate(tree, Interval(1, 3), (), I9)
         assert verdict.violations == ("duplicate equality key 2",)
 
 
@@ -222,56 +220,56 @@ class TestTwcstCost:
     I8 = Instance(tuple(f"K{i}" for i in range(1, 9)), (7, 5, 0, 5, 0, 5, 0, 5))
 
     def test_single_leaf(self):
-        assert twcst_cost(Leaf(1), self.I8) == 0
+        assert tree_cost(Leaf(1), self.I8) == 0
 
     def test_two_leaves(self):
         tree = Cmp(LT, 2, yes=Leaf(1), no=Leaf(2))
-        assert twcst_cost(tree, self.I8) == 12
+        assert tree_cost(tree, self.I8) == 12
 
     def test_recursive_identity(self):
         tree = Cmp(EQ, 2, yes=Leaf(2), no=Cmp(LT, 4, yes=Leaf(1), no=Leaf(4)))
-        assert twcst_cost(tree, self.I8) == (
+        assert tree_cost(tree, self.I8) == (
             tree_weight(tree, self.I8)
-            + twcst_cost(tree.yes, self.I8)
-            + twcst_cost(tree.no, self.I8)
+            + tree_cost(tree.yes, self.I8)
+            + tree_cost(tree.no, self.I8)
         )
 
     def test_key_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            twcst_cost(Leaf(99), self.I8)
+            tree_cost(Leaf(99), self.I8)
 
 
 class TestTwcstValidate:
     I3 = Instance(("A", "B", "C"), (1, 2, 3))
 
     def test_lone_leaf(self):
-        assert twcst_validate(Leaf(2), Interval(2, 2), (), self.I3).ok
+        assert validate(Leaf(2), Interval(2, 2), (), self.I3).ok
 
     def test_valid_pair(self):
         tree = Cmp(LT, 2, yes=Leaf(1), no=Leaf(2))
-        assert twcst_validate(tree, Interval(1, 2), (), self.I3).ok
+        assert validate(tree, Interval(1, 2), (), self.I3).ok
 
     def test_less_yes_branch_violation(self):
         # yes branch of v < 2 holds a key >= 2: key 3 can never reach its leaf.
         tree = Cmp(LT, 2, yes=Leaf(3), no=Leaf(1))
-        verdict = twcst_validate(tree, Interval(1, 3), (2,), self.I3)
+        verdict = validate(tree, Interval(1, 3), (2,), self.I3)
         assert not verdict.ok
 
     def test_eq_yes_is_leaf_in_valid_trees(self):
         tree = Cmp(EQ, 2, yes=Leaf(2), no=Cmp(LT, 3, yes=Leaf(1), no=Leaf(3)))
-        assert twcst_validate(tree, Interval(1, 3), (), self.I3).ok
+        assert validate(tree, Interval(1, 3), (), self.I3).ok
         assert isinstance(tree.yes, Leaf) and tree.yes.key == tree.key
 
     def test_duplicate_leaf(self):
         tree = Cmp(LT, 2, yes=Leaf(1), no=Leaf(1))
-        verdict = twcst_validate(tree, Interval(1, 2), (), self.I3)
+        verdict = validate(tree, Interval(1, 2), (), self.I3)
         assert not verdict.ok
         assert any("duplicate" in v for v in verdict.violations)
 
     def test_leaf_under_its_own_equality_no_branch(self):
         # The no branch of "= 2" narrows no bounds but excludes key 2.
         tree = Cmp(LT, 3, yes=Cmp(EQ, 2, yes=Leaf(1), no=Leaf(2)), no=Leaf(3))
-        verdict = twcst_validate(tree, Interval(1, 3), (), self.I3)
+        verdict = validate(tree, Interval(1, 3), (), self.I3)
         assert verdict.violations == (
             "search for 1 does not reach its leaf",
             "search for 2 does not reach its leaf",
@@ -286,14 +284,14 @@ class TestOrderProperty:
     its span, the interval of its keys minus the keys it leaves out."""
 
     def test_t2a_holds(self):
-        assert gbst_validate(t2a(), I9.full_interval(), (3, 5), I9).ok
+        assert validate(t2a(), I9.full_interval(), (3, 5), I9).ok
 
     def test_single_node(self):
-        assert gbst_validate(GbstNode(5), Interval(5, 5), (), I9).ok
+        assert validate(GbstNode(5), Interval(5, 5), (), I9).ok
 
     def test_inverted_fails(self):
         bad = GbstNode(1, split=5, left=GbstNode(7), right=GbstNode(4))
-        verdict = gbst_validate(bad, Interval(1, 7), (2, 3, 5, 6), I9)
+        verdict = validate(bad, Interval(1, 7), (2, 3, 5, 6), I9)
         assert verdict.violations == (
             "search for 4 does not reach its node",
             "search for 7 does not reach its node",
@@ -302,10 +300,10 @@ class TestOrderProperty:
     def test_root_key_unconstrained(self):
         # The node's own equality key may exceed its right subtree's keys.
         tree = GbstNode(8, split=2, left=GbstNode(1), right=GbstNode(2))
-        assert gbst_validate(tree, Interval(1, 8), (3, 4, 5, 6, 7), I9).ok
+        assert validate(tree, Interval(1, 8), (3, 4, 5, 6, 7), I9).ok
 
     def test_empty(self):
-        assert gbst_validate(None, Interval(1, 0), (), I9).ok
+        assert validate(None, Interval(1, 0), (), I9).ok
 
 
 DEEP = 1500  # deeper than Python's default recursion limit of 1000 frames
@@ -334,13 +332,13 @@ class TestDeepTrees:
         tree = self.gbst_chain()
         # Key k sits at depth k - 1.
         expected = sum(self.INST.weight(k) * k for k in range(1, DEEP + 1))
-        assert gbst_cost(tree, self.INST) == expected
+        assert tree_cost(tree, self.INST) == expected
         assert tree_weight(tree, self.INST) == self.INST.total_weight()
 
     def test_gbst_chain_verdicts(self):
         full = self.INST.full_interval()
-        assert gbst_validate(self.gbst_chain(), full, (), self.INST).ok
-        verdict = gbst_validate(self.gbst_chain(swap_bottom=True), full, (), self.INST)
+        assert validate(self.gbst_chain(), full, (), self.INST).ok
+        verdict = validate(self.gbst_chain(swap_bottom=True), full, (), self.INST)
         assert verdict.violations == (
             f"search for {DEEP - 1} does not reach its node",
             f"search for {DEEP} does not reach its node",
@@ -354,9 +352,9 @@ class TestDeepTrees:
         expected = sum(self.INST.weight(k) * k for k in range(1, DEEP)) + (
             self.INST.weight(DEEP) * (DEEP - 1)
         )
-        assert twcst_cost(node, self.INST) == expected
+        assert tree_cost(node, self.INST) == expected
         assert tree_weight(node, self.INST) == self.INST.total_weight()
-        assert twcst_validate(node, self.INST.full_interval(), (), self.INST).ok
+        assert validate(node, self.INST.full_interval(), (), self.INST).ok
 
 
 class TestReplaceSubtree:
@@ -386,10 +384,10 @@ class TestReplaceSubtree:
             right=N(5, split=9, left=N(7, split=7, left=N(6)), right=N(9)),
         )
         ctx_a = N(5, split=1, right=N(3, split=1, right=t2a()))
-        assert gbst_cost(ctx_a, I9) == 463
+        assert tree_cost(ctx_a, I9) == 463
         swapped = dataclasses.replace(replace_subtree(ctx_a, "RR", t2b), eq=8)
-        assert gbst_cost(swapped, I9) == 462
-        assert gbst_validate(swapped, I9.full_interval(), (), I9).ok
+        assert tree_cost(swapped, I9) == 462
+        assert validate(swapped, I9.full_interval(), (), I9).ok
 
     def test_path_out_of_bounds(self):
         with pytest.raises(IndexError):
@@ -441,7 +439,7 @@ class TestInstanceInvariants:
         # Spot-check with the 209-tree: 7 nodes for 9 keys minus 2 holes.
         tree = t2a()
         assert len(list(gbst_nodes(tree))) == 7
-        assert gbst_validate(tree, I9.full_interval(), (3, 5), I9).ok
+        assert validate(tree, I9.full_interval(), (3, 5), I9).ok
 
 
 def test_every_module_star_import_resolves():

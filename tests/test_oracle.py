@@ -9,10 +9,8 @@ from cstlab.falsify import random_instance
 from cstlab.model import (
     Instance,
     Interval,
-    gbst_cost,
-    gbst_validate,
-    twcst_cost,
-    twcst_validate,
+    tree_cost,
+    validate,
 )
 from cstlab.oracle import (
     GbstOracle,
@@ -42,7 +40,7 @@ class TestGbstOpt:
         oracle = GbstOracle(I9)
         cost, tree = oracle.opt(I9.full_interval(), (3, 5))
         assert cost == 209
-        assert gbst_validate(tree, I9.full_interval(), (3, 5), I9).ok
+        assert validate(tree, I9.full_interval(), (3, 5), I9).ok
 
     def test_all_holes_empty_tree(self):
         oracle = GbstOracle(I9)
@@ -60,7 +58,7 @@ class TestGbstOpt:
         oracle = GbstOracle(I9)
         for holes in ((), (1,), (3, 5), (2, 6, 7)):
             cost, tree = oracle.opt(I9.full_interval(), holes)
-            assert cost == gbst_cost(tree, I9)
+            assert cost == tree_cost(tree, I9)
 
     def test_size_limit_refusal(self):
         oracle = GbstOracle(I31)
@@ -76,8 +74,8 @@ class TestGbstOpt:
         assert oracle.opt_cost(Interval(10, 16)) == 220
         assert oracle._shift == 0
         cost, tree = oracle.opt(Interval(17, 31))
-        assert cost == 660 == gbst_cost(tree, I31)
-        assert gbst_validate(tree, Interval(17, 31), (), I31).ok
+        assert cost == 660 == tree_cost(tree, I31)
+        assert validate(tree, Interval(17, 31), (), I31).ok
         assert oracle._shift == 15  # the window [16, 31]
         assert oracle.opt(Interval(20, 19)) == (0, None)
         assert oracle._shift == 15  # an empty interval inside it keeps it
@@ -104,7 +102,7 @@ class TestGbstOpt:
                     for hs in itertools.combinations(universe, h)
                 )
                 assert cost == expected
-                assert gbst_validate(tree, full, holes, inst).ok
+                assert validate(tree, full, holes, inst).ok
 
 
 class TestGbstOptStar:
@@ -112,7 +110,7 @@ class TestGbstOptStar:
         oracle = GbstOracle(I9)
         cost, tree, holes = oracle.opt_star(I9.full_interval(), 2)
         assert cost == 209
-        assert gbst_validate(tree, I9.full_interval(), holes, I9).ok
+        assert validate(tree, I9.full_interval(), holes, I9).ok
 
     def test_all_holes(self):
         oracle = GbstOracle(I9)
@@ -132,16 +130,16 @@ class TestGbstOptStar:
         from cstlab.bench import exhibit
 
         oracle = GbstOracle(I9)
-        assert oracle.opt_cost(I9.full_interval(), (3, 5)) <= gbst_cost(exhibit("fig2_a", I9), I9)
-        assert oracle.opt_cost(I9.full_interval(), (3, 8)) <= gbst_cost(exhibit("fig2_b", I9), I9)
+        assert oracle.opt_cost(I9.full_interval(), (3, 5)) <= tree_cost(exhibit("fig2_a", I9), I9)
+        assert oracle.opt_cost(I9.full_interval(), (3, 8)) <= tree_cost(exhibit("fig2_b", I9), I9)
         i10 = bench._prefix_instance(10)
         o8, o10, o15 = TwcstOracle(I8), TwcstOracle(i10), TwcstOracle(I15)
-        assert o8.opt_cost(I8.full_interval(), (8,)) <= twcst_cost(exhibit("fig4_a", I8), I8)
-        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(exhibit("fig4_b", I8), I8)
-        assert o8.opt_cost(I8.full_interval(), (1,)) <= twcst_cost(exhibit("fig4_c", I8), I8)
-        assert o10.opt_cost(i10.full_interval(), (10,)) <= twcst_cost(exhibit("fig5_a", i10), i10)
-        assert o10.opt_cost(i10.full_interval(), (1,)) <= twcst_cost(exhibit("fig5_b", i10), i10)
-        assert o15.opt_cost(I15.full_interval(), (1, 15)) <= twcst_cost(
+        assert o8.opt_cost(I8.full_interval(), (8,)) <= tree_cost(exhibit("fig4_a", I8), I8)
+        assert o8.opt_cost(I8.full_interval(), (1,)) <= tree_cost(exhibit("fig4_b", I8), I8)
+        assert o8.opt_cost(I8.full_interval(), (1,)) <= tree_cost(exhibit("fig4_c", I8), I8)
+        assert o10.opt_cost(i10.full_interval(), (10,)) <= tree_cost(exhibit("fig5_a", i10), i10)
+        assert o10.opt_cost(i10.full_interval(), (1,)) <= tree_cost(exhibit("fig5_b", i10), i10)
+        assert o15.opt_cost(I15.full_interval(), (1, 15)) <= tree_cost(
             exhibit("fig6", I15), I15
         )
 
@@ -156,7 +154,7 @@ class TestTwcstOpt:
         oracle = TwcstOracle(I8)
         cost, tree = oracle.opt(I8.full_interval(), (1,))
         assert cost == 50
-        assert twcst_validate(tree, I8.full_interval(), (1,), I8).ok
+        assert validate(tree, I8.full_interval(), (1,), I8).ok
 
     def test_single_query(self):
         oracle = TwcstOracle(I8)
@@ -167,7 +165,7 @@ class TestTwcstOpt:
         oracle = TwcstOracle(I15)
         cost, tree = oracle.opt(I15.full_interval(), (1, 15))
         assert cost == 115
-        assert twcst_validate(tree, I15.full_interval(), (1, 15), I15).ok
+        assert validate(tree, I15.full_interval(), (1, 15), I15).ok
 
     def test_rejects_all_holes(self):
         oracle = TwcstOracle(I8)
@@ -195,7 +193,7 @@ class TestTwcstOpt:
                     for hs in itertools.combinations(universe, h)
                 )
                 assert cost == expected
-                assert twcst_validate(tree, full, holes, inst).ok
+                assert validate(tree, full, holes, inst).ok
 
 
 class TestTwcstOptStar:
@@ -208,7 +206,7 @@ class TestTwcstOptStar:
         oracle = TwcstOracle(I15)
         cost, tree, holes = oracle.opt_star(I15.full_interval(), 2)
         assert cost == 115
-        assert twcst_validate(tree, I15.full_interval(), holes, I15).ok
+        assert validate(tree, I15.full_interval(), holes, I15).ok
 
     @pytest.mark.parametrize("h", [0, 1])
     def test_interval_without_keys(self, h):
@@ -222,7 +220,7 @@ class TestTwcstOptStar:
         oracle = TwcstOracle(I8)
         cost, tree, holes = oracle.opt_star(I8.full_interval(), 7)
         assert cost == 0
-        assert twcst_validate(tree, I8.full_interval(), holes, I8).ok
+        assert validate(tree, I8.full_interval(), holes, I8).ok
 
     def test_pruning_equivalence(self):
         for seed in range(10):
@@ -254,7 +252,7 @@ class TestTwcstOptStar:
         from cstlab.bench import exhibit
 
         scaled = I8.scaled(6)
-        assert twcst_cost(exhibit("fig4_a", I8), scaled) == 6 * 49
+        assert tree_cost(exhibit("fig4_a", I8), scaled) == 6 * 49
 
 
 class TestStarRows:

@@ -8,7 +8,12 @@ heaviest keys", closed under dropping a set's lowest or highest key.  Its
 13-key counterexample (w'_k = 1000 w_k + (13 - k)) is pinned here by its
 oracle certificate: the exact optimum, which HW's DP also reaches, and the
 optimum under the other index tie order (+k), where H' holds.
+
+Spuler's DP fails on a 10-key random instance too, not only on the
+paper's I15: random_instance(10, 1000, 22) has a discrepant cell.
 """
+from cstlab import falsify
+from cstlab.falsify import random_instance
 from cstlab.hw import HwTable, hw_solve
 from cstlab.model import Instance, Interval, validate
 from cstlab.oracle import GbstOracle
@@ -53,3 +58,15 @@ class TestHPrimeInstance:
     def test_other_tie_order(self):
         inst = _instance(self._weights(+1))
         assert GbstOracle(inst).opt_cost(inst.full_interval()) == 64_274
+
+
+class TestRandomSpulerDiscrepancy:
+    WEIGHTS = (72, 884, 704, 51, 0, 875, 827, 141, 858, 820)
+
+    def test_seed_gives_the_frozen_weights(self):
+        assert random_instance(10, 1000, 22).weights == self.WEIGHTS
+
+    def test_audit_record(self):
+        [d] = falsify.audit_subproblems(falsify.TWCST, _instance(self.WEIGHTS))
+        assert (d.i, d.j, d.h) == (2, 10, 1)
+        assert (d.flawed_cost, d.oracle_cost, d.certified) == (11_420, 11_414, "oracle")

@@ -4,7 +4,7 @@ import pytest
 from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.model import (
-    EQ, Cmp, Instance, Interval, Leaf, tree_weight, twcst_cost, twcst_validate,
+    EQ, Cmp, Instance, Interval, Leaf, tree_cost, tree_weight, validate,
 )
 from cstlab.oracle import TwcstOracle
 from cstlab.spuler import SpulerTable, spuler_solve
@@ -31,10 +31,10 @@ class TestSpulerSolve:
     def test_result_consistency(self):
         iv = I15.full_interval()
         r = spuler_solve(I15, iv, 2)
-        assert r.cost == twcst_cost(r.tree, I15)
+        assert r.cost == tree_cost(r.tree, I15)
         holes_weight = sum(I15.weight(k) for k in r.holes_in(iv))
         assert tree_weight(r.tree, I15) == sum(I15.weights) - holes_weight
-        assert twcst_validate(r.tree, iv, r.holes_in(iv), I15).ok
+        assert validate(r.tree, iv, r.holes_in(iv), I15).ok
 
     def test_hole_count_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -66,7 +66,7 @@ class TestSpulerTable:
             for i, j, h in table.cells():
                 r = table.result(i, j, h)
                 iv = Interval(i, j)
-                assert twcst_validate(r.tree, iv, r.holes_in(iv), inst).ok
+                assert validate(r.tree, iv, r.holes_in(iv), inst).ok
                 assert len(r.holes_in(iv)) == h
 
     def test_eq_candidate_structure(self):
