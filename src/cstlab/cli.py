@@ -20,7 +20,7 @@ from .render import FORMATS, InvalidTreeError, parse_tree_file, render_tree
 __all__ = ["main"]
 
 # The most keys `solve --alg hw|spuler` fills: an HW solve of 116 keys took
-# 15 s and 103 MB RSS on a 2-core VM, and the fill is O(n^5).
+# 15 s and 97 MB RSS on a 2-core VM, and the fill is O(n^5).
 DP_KEY_LIMIT = 116
 # The largest m `depth-seq` prints: the fill is O(m^2), and m = 2000 took
 # 0.66 s on a 2-core VM.

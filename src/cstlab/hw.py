@@ -26,7 +26,7 @@ The fill is :class:`~cstlab.model.DpTable`'s.  Split s = i with h1 = 0
 (one child, on the right) is its equality candidate, tried first; split
 s = j+1 (one child, on the left) is never tried, as it offers the same
 cost and key.  The fill gathers the bases of every split candidate of I,
-for all h at once, from its per-key stores of finished rows, and
+for all h at once, from key i's columns and key j's end store, and
 ``_best_split`` scans cell h's slice ``bases[a:b]`` of them.
 
 The scan compares one int per candidate, its score cost*N + e in the
@@ -68,7 +68,7 @@ class HwTable(DpTable):
         return best, best_k
 
     def _tree(self, i: int, j: int, h: int) -> GbstTree:
-        choice = self._rows[(i, j)][3][h] if i <= j else None
+        choice = self.choice(i, j, h) if i <= j else None
         if choice is None:
             return None
         s, h1, h2, e = choice

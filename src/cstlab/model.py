@@ -593,16 +593,16 @@ def _split_gathers(length: int, min_queries: int) -> tuple:
 
     Splits s = i+1..j are numbered by size_l = s - i.  A side of ``size``
     keys has a row of ``size + 1 - min_queries`` entries.  The fill reads
-    the rows of I's left sides, and of its right sides, from one list each
-    by ascending size (see :class:`DpTable`), so a side of ``size`` keys
-    starts at ``off[size - 1]`` in both.  Returns ``(at_l, at_r, bounds)``:
-    the positions in the two lists of every candidate (h, size_l, h1) with
-    h1 + h2 = h + 1 - min_queries, h ascending, then splits ascending,
-    then h1 ascending, as two flat tuples; and per h the ``(start, stop)``
-    of its candidates in them.  So one ``itemgetter`` call per side
-    gathers the candidates of every h of an interval.  A left position's
-    (size_l, h1) is the table's own ``split_of`` entry (see
-    :class:`DpTable`).
+    I's left sides from key i's columns and its right sides from key j's
+    end store, both rows by ascending size (see :class:`DpTable`), so a
+    side of ``size`` keys starts at ``off[size - 1]`` in both.  Returns
+    ``(at_l, at_r, bounds)``: the positions in the two lists of every
+    candidate (h, size_l, h1) with h1 + h2 = h + 1 - min_queries, h
+    ascending, then splits ascending, then h1 ascending, as two flat
+    tuples; and per h the ``(start, stop)`` of its candidates in them.  So
+    one ``itemgetter`` call per side gathers the candidates of every h of
+    an interval.  A left position indexes key i's columns, and its
+    (size_l, h1) is the table's own ``split_of`` entry.
 
     All tables share the layouts up to ``LAYOUT_CACHE_MAX_LENGTH`` keys
     through ``_LAYOUTS``: 2.92 MB (tracemalloc) for lengths 1..36 and both
@@ -651,15 +651,16 @@ class DpTable:
     inside a root interval.
 
     A subproblem must keep ``min_queries`` keys, so h runs over
-    0..|I| - min_queries.  ``_fill`` writes the table's one store:
-    ``_rows[(i, j)]`` holds, for each nonempty [i, j] inside the root, five
-    lists indexed by h, namely the cost, ``cw`` (the cost + weight, times
-    N), ``used_perm`` (the keys placed, as a rank mask), the backpointer
-    (None at the base) and ``free``, the encoded least-weight key of [i, j]
-    that the cell leaves unplaced.  The table ranks its keys by (weight,
-    index): ``_key_at_rank``, and ``_bit``, key k's rank bit.  No tree is
-    stored: ``result`` rebuilds one from the backpointers through the
-    subclass's ``_tree(i, j, h)``.
+    0..|I| - min_queries.  The table is five columns per key i of the
+    root, ``_cols[i]``, each entry written once by ``_fill``: the cost,
+    ``cw`` (the cost + weight, times N), ``perm`` (the keys placed, as a
+    rank mask), the backpointer (None at the base) and ``free``, the
+    encoded least-weight key of [i, j] that the cell leaves unplaced.  They
+    hold the rows of [i, i], [i, i+1], ... by ascending length, cell
+    (i, j, h) at ``_off[j - i] + h``, the layouts' offsets by size.  The
+    table ranks its keys by (weight, index): ``_key_at_rank``, and ``_bit``,
+    key k's rank bit.  No tree is stored: ``result`` rebuilds one from the
+    backpointers through the subclass's ``_tree(i, j, h)``.
 
     The encoding lets one int rank a candidate by (cost, root key).  With
     N = n + 1, above every key, a candidate of cost c and root key e scores
@@ -678,18 +679,17 @@ class DpTable:
       (the result leaves h + 1 >= 1 keys unplaced, so e exists);
     * a split at s = i+1..j over the results for ([i, s-1], h1) and
       ([s, j], h2), h1 + h2 = h + 1 - min_queries.  Its base is the sum of
-      its sides' cw entries.  Each finished cw and free row joins two
-      per-key stores, ordered by length, of the intervals that start at a
-      key and that end at it, so when I starts, those of i and j hold
-      exactly its left and right sides.  [i, hi] is the last interval to
-      read i's start stores, and [lo, j] the last to read j's end stores,
-      so the fill drops them there.  From the stores, one ``itemgetter``
-      call per side gathers the bases of every h of I at once, at positions
-      that ``_split_gathers`` shares among all tables; cell h's candidates
-      are the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
+      its sides' cw entries.  Key i's columns hold I's left sides when I
+      starts.  Its right sides start at different keys, so each finished
+      cw and free row also joins key j's end stores, by length, which
+      [lo, j] reads last and drops.  One ``itemgetter`` call per side
+      gathers the bases of every h of I at once, at positions that
+      ``_split_gathers`` shares among all tables; cell h's candidates are
+      the slice ``bounds[h]`` of them.  The winner's (s, h1) comes from
       ``split_of``, one map per table from left positions to (size_l, h1),
       built for the root length in O(n^2): every shorter length's left rows
-      are a prefix of it.
+      are a prefix of it.  Its children sit at its left position in key i's
+      columns and at ``_off[j - s] + h2`` in key s's.
 
     The subclass's ``_best_split`` picks the winner's score, from which the
     fill decodes its cost and root key.  The backpointer is (s, h1, h2, e):
@@ -717,7 +717,6 @@ class DpTable:
         self._bit = bit = [0] * (inst.n + 1)
         for rank, key in enumerate(order):
             bit[key] = 1 << rank
-        self._rows: dict[tuple[int, int], tuple[list, list, list, list, list]] = {}
         self._fill()
 
     @classmethod
@@ -740,77 +739,78 @@ class DpTable:
         key_at_rank, fk, bit, scale = self._key_at_rank, self._fk, self._bit, self._scale
         best_split = self._best_split
         lo, hi = self.interval.i, self.interval.j
-        rows = self._rows
+        # A row of ``size`` keys has size + 1 - m entries, by ascending size.
+        self._off = off = list(accumulate(range(2 - m, hi - lo + 3 - m), initial=0))
         split_of = [
             (size_l, h1) for size_l in range(1, hi - lo + 1) for h1 in range(size_l + 1 - m)
         ]
-        # By key k: the cw and free rows of [k, ...] and of [..., k], by length.
-        cw_from, free_from, cw_to, free_to = ([[] for _ in range(hi + 1)] for _ in range(4))
+        self._cols = cols = [None] * lo + [  # key i's columns hold off[hi - i + 1] cells
+            ([0] * size, [0] * size, [0] * size, [None] * size, [0] * size) for size in off[:0:-1]
+        ]
+        # By key j: the cw and free rows of [..., j], by length.
+        cw_to, free_to = [[] for _ in range(hi + 1)], [[] for _ in range(hi + 1)]
         for length in range(1, hi - lo + 2):
             at_l, at_r, bounds = _split_gathers(length, m)
             get_l, get_r = _gatherer(at_l), _gatherer(at_r)
-            size = length + 1 - m
+            at, top = off[length - 1], off[length] - 1  # [i, j]'s cells h = 0 and the base
             for i in range(lo, hi - length + 2):
                 j = i + length - 1
+                cost_col, cw_col, perm_col, choice_col, free_col = cols[i]
                 iv_perm = sum(bit[i : j + 1])
                 least = (iv_perm & -iv_perm).bit_length() - 1
                 fk_least = fk[least]
-                bases = list(map(add, get_l(cw_from[i]), get_r(cw_to[j])))
-                rows[(i, j)] = cost_row, cw_row, perm_row, choice_row, free_row = (
-                    [0] * size, [0] * size, [0] * size, [None] * size, [0] * size
-                )
+                bases = list(map(add, get_l(cw_col), get_r(cw_to[j])))
                 if m:  # the base keeps one key: a leaf of least weight
-                    cw_row[-1] = fk_least - key_at_rank[least]  # w * N
-                    perm_row[-1] = 1 << least
+                    cw_col[top] = fk_least - key_at_rank[least]  # w * N
+                    perm_col[top] = 1 << least
                 # No free key is rank -1: fk's last entry, the sentinel.
-                free = iv_perm & ~perm_row[-1]
-                free_row[-1] = fk[(free & -free).bit_length() - 1]
+                free = iv_perm & ~perm_col[top]
+                free_col[top] = fk[(free & -free).bit_length() - 1]
                 for h in range(length - m - 1, -1, -1):
                     a, b = bounds[h]
+                    c = at + h
                     score, k = best_split(
-                        bases, a, b, cw_row[h + 1] + free_row[h + 1], fk_least,
-                        free_from[i], free_to[j], at_l, at_r,
+                        bases, a, b, cw_col[c + 1] + free_col[c + 1], fk_least,
+                        free_col, free_to[j], at_l, at_r,
                     )
                     cost, e = divmod(score, scale)
                     # A cost is the weight plus the children's costs.
                     if k < 0:
                         s, h1, h2 = i, 0, h + 1
-                        weight = cost - cost_row[h2]
-                        placed = perm_row[h2]
+                        weight = cost - cost_col[c + 1]
+                        placed = perm_col[c + 1]
                     else:
-                        size_l, h1 = split_of[at_l[k]]
+                        left = at_l[k]
+                        size_l, h1 = split_of[left]
                         s, h2 = i + size_l, h + 1 - m - h1
-                        left, right = rows[(i, s - 1)], rows[(s, j)]
-                        weight = cost - left[0][h1] - right[0][h2]
-                        placed = left[2][h1] | right[2][h2]
-                    cost_row[h] = cost
-                    cw_row[h] = (cost + weight) * scale
+                        right = off[length - size_l - 1] + h2
+                        cost_s, _, perm_s, _, _ = cols[s]
+                        weight = cost - cost_col[left] - cost_s[right]
+                        placed = perm_col[left] | perm_s[right]
+                    cost_col[c] = cost
+                    cw_col[c] = (cost + weight) * scale
                     # e = 0 is a split without a root key, and bit[0] = 0.
-                    perm_row[h] = placed = placed | bit[e]
-                    choice_row[h] = (s, h1, h2, e or None)
+                    perm_col[c] = placed = placed | bit[e]
+                    choice_col[c] = (s, h1, h2, e or None)
                     free = iv_perm & ~placed
-                    free_row[h] = fk[(free & -free).bit_length() - 1]
-                if j < hi:
-                    cw_from[i] += cw_row
-                    free_from[i] += free_row
-                else:  # [i, hi] is the last interval to read them
-                    cw_from[i] = free_from[i] = None
+                    free_col[c] = fk[(free & -free).bit_length() - 1]
                 if i > lo:
-                    cw_to[j] += cw_row
-                    free_to[j] += free_row
+                    cw_to[j] += cw_col[at : top + 1]
+                    free_to[j] += free_col[at : top + 1]
                 else:  # [lo, j] is the last interval to read them
                     cw_to[j] = free_to[j] = None
                 # One interval's bases at a time: the next gather allocates
                 # as many new ints.
                 del bases
 
-    def _row(self, i: int, j: int, h: int) -> tuple[list, list, list, list, list]:
-        rows = self._rows.get((i, j))
-        if rows is None:
+    def _entry(self, column: int, i: int, j: int, h: int):
+        """Cell (i, j, h)'s entry in key i's *column* (0 to 4)."""
+        if not self.interval.i <= i <= j <= self.interval.j:
             raise KeyError(f"interval [{i},{j}] outside table root {self.interval}")
-        if not 0 <= h < len(rows[0]):
-            raise ValueError(f"hole count {h} out of range 0..{len(rows[0]) - 1}")
-        return rows
+        at, stop = self._off[j - i], self._off[j - i + 1]
+        if not 0 <= h < stop - at:
+            raise ValueError(f"hole count {h} out of range 0..{stop - at - 1}")
+        return self._cols[i][column][at + h]
 
     def result(self, i: int, j: int, h: int) -> SolveResult:
         """The cell's cost and the tree rebuilt from its backpointers."""
@@ -818,10 +818,10 @@ class DpTable:
 
     def choice(self, i: int, j: int, h: int) -> tuple | None:
         """The cell's backpointer (s, h1, h2, e); None at bases."""
-        return self._row(i, j, h)[3][h]
+        return self._entry(3, i, j, h)
 
     def cost(self, i: int, j: int, h: int) -> int:
-        return self._row(i, j, h)[0][h]
+        return self._entry(0, i, j, h)
 
     def cells(self) -> Iterator[tuple[int, int, int]]:
         """All (i, j, h) coordinates with i <= j, ascending."""

@@ -59,10 +59,9 @@ class SpulerTable(DpTable):
         return best, bases.index(best, a, b)
 
     def _tree(self, i: int, j: int, h: int) -> TwcstTree:
-        _, _, perm_row, choice_row, _ = self._rows[(i, j)]
-        choice = choice_row[h]
+        choice = self.choice(i, j, h)
         if choice is None:  # one leaf: its key is the one rank bit placed
-            return Leaf(self._key_at_rank[perm_row[h].bit_length() - 1])
+            return Leaf(self._key_at_rank[self._entry(2, i, j, h).bit_length() - 1])
         s, h1, h2, e = choice
         if e is None:
             return Cmp(LT, s, yes=self._tree(i, s - 1, h1), no=self._tree(s, j, h2))

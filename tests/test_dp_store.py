@@ -1,5 +1,10 @@
-"""The DP row store's encoded free-key column, the flat split layouts
-that every table in a process shares, and each table's own split map."""
+"""The DP table's per-key columns and their encoded free-key column, the
+flat split layouts that every table in a process shares, and each table's
+own split map.
+
+Key i's five columns (cost, cw, perm, choice, free) are the table: they
+hold the rows of [i, i], [i, i+1], ... in order, the row of [i, j] from
+``off[j - i]``, so a left side's position in a layout indexes them."""
 import random
 import tracemalloc
 
@@ -10,6 +15,18 @@ from cstlab.bench import build_instance
 from cstlab.falsify import random_instance
 from cstlab.model import Interval
 from test_dp_reference import SEEDS_PER_WMAX, TABLES, _assert_same_cells
+
+
+def _rows(table):
+    """Each [i, j] inside the table's root and its five rows, sliced from
+    key i's columns."""
+    off = table._off
+    lo, hi = table.interval.i, table.interval.j
+    return {
+        (i, j): tuple(col[off[j - i] : off[j - i + 1]] for col in table._cols[i])
+        for i in range(lo, hi + 1)
+        for j in range(i, hi + 1)
+    }
 
 
 def _reference_seeds():
@@ -40,7 +57,7 @@ def test_free_is_the_least_unplaced_rank(name):
         scale = inst.n + 1
         fk = [inst.weight(k) * scale + k for k in by_weight]
         fk.append((max(inst.weights) + 1) * scale)
-        for (i, j), (_, _, used_perm, _, free) in table._rows.items():
+        for (i, j), (_, _, used_perm, _, free) in _rows(table).items():
             assert len(free) == len(used_perm)
             for h, placed in enumerate(used_perm):
                 unplaced = [
@@ -189,7 +206,7 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
     inst = random_instance(model.LAYOUT_CACHE_MAX_LENGTH + 1, 1000, 9407)
     table = TABLES[name][0](inst)
     full = inst.full_interval()
-    cost_row, cw_row = table._rows[(1, inst.n)][:2]
+    cost_row, cw_row = _rows(table)[(1, inst.n)][:2]
     for h in range(inst.n + 1 - table.min_queries):
         r = table.result(1, inst.n, h)
         assert model.validate(r.tree, full, r.holes_in(full), inst).ok, h
@@ -200,13 +217,13 @@ def test_split_map_covers_a_table_longer_than_the_cap(name):
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_inner_root_past_the_cap_matches_the_full_table(name):
     """An inner root longer than the cap builds its layouts per table and
-    starts its per-key row stores past key 1; every interval inside it
-    has the full-instance table's row entries."""
+    starts its per-key columns past key 1; every interval inside it has
+    the full-instance table's five row entries."""
     inst = random_instance(45, 1000, 9408)
     lo, hi = 4, 42
     assert hi - lo + 1 > model.LAYOUT_CACHE_MAX_LENGTH
     cls = TABLES[name][0]
-    inner, full = cls(inst, Interval(lo, hi))._rows, cls(inst)._rows
+    inner, full = _rows(cls(inst, Interval(lo, hi))), _rows(cls(inst))
     assert len(inner) == (hi - lo + 1) * (hi - lo + 2) // 2
     for (i, j), entry in inner.items():
         assert lo <= i <= j <= hi
@@ -216,11 +233,10 @@ def test_inner_root_past_the_cap_matches_the_full_table(name):
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_fill_drops_the_stores_it_has_read_for_the_last_time(name):
     """A fill's tracemalloc peak stays under 1.4 times the table it leaves
-    (1.28-1.33 on these 36 keys): each key's start stores go once the
-    longest interval from it is filled, and its end stores once the longest
-    interval to it is.  Kept to the end of the fill, the stores peak at
-    1.47-1.50 times the table.  The cached layouts, up to 36 keys, are
-    built before the measured fill."""
+    (1.32-1.35 on these 36 keys): each key's end stores go once the longest
+    interval to it is filled.  Kept to the end of the fill, they peak at
+    1.42-1.45 times the table.  The cached layouts, up to 36 keys, are built
+    before the measured fill."""
     cls = TABLES[name][0]
     inst = random_instance(36, 1000, 9409)
     cls(inst)
@@ -230,5 +246,5 @@ def test_fill_drops_the_stores_it_has_read_for_the_last_time(name):
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table._rows
+    assert table._cols[1]
     assert peak < 1.4 * retained, (peak, retained)

@@ -255,13 +255,20 @@ class TestModels:
         assert set(cells) == want
 
     def test_rows_are_exactly_the_listed_cells(self, name):
-        """The table stores one row per interval that cells() lists, with
-        one entry per listed hole count, and no row for an empty interval."""
+        """Each key's five columns hold exactly one entry per listed cell
+        that starts at the key, and no key outside the root has columns;
+        the row of [i, j] has one entry per listed hole count, and no empty
+        interval has a row."""
         inst = build_instance("I9").instance
         for interval in (None, Interval(2, 7)):
             table = MODELS[name].table(inst, interval)
-            want = Counter((i, j) for i, j, _ in table.cells())
-            assert {iv: len(rows[0]) for iv, rows in table._rows.items()} == want
+            cells = list(table.cells())
+            want = Counter(i for i, _, _ in cells)
+            got = {i: {len(col) for col in cols} for i, cols in enumerate(table._cols) if cols}
+            assert got == {i: {count} for i, count in want.items()}
+            off = table._off
+            rows = {(i, j): off[j - i + 1] - off[j - i] for i, j, _ in cells}
+            assert rows == Counter((i, j) for i, j, _ in cells)
 
     def test_accessors_answer_exactly_the_listed_cells(self, name):
         """No accessor answers for a cell that cells() does not list: an
