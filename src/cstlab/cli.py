@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success (all checks PASS), 1 verification failure or, with
---fail-on-discrepancy, a fuzz hit, 2 usage error, 3 input/parse error.
-Verification output uses the line grammar
-``<name>: expected=<int> actual=<int> status=<PASS|FAIL>``.
+--fail-on-discrepancy, a fuzz hit, 2 usage error (any ValueError or size
+limit), 3 input/parse error (ParseError).  Verification output uses the
+line grammar ``<name>: expected=<int> actual=<int> status=<PASS|FAIL>``.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ DP_KEY_LIMIT = 116
 DEPTH_SEQ_LIMIT = 2000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -133,10 +133,7 @@ def _cmd_solve(args) -> int:
         if args.interval
         else inst.full_interval()
     )
-    try:
-        interval.validate_for(inst.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    interval.validate_for(inst.n)
     if interval.empty:
         raise UsageError("interval must be nonempty")
 
@@ -152,21 +149,18 @@ def _cmd_solve(args) -> int:
             raise UsageError("--holeset applies only to --alg exact")
         holeset = _parse_holeset(args.holeset, inst)
 
-    # The solvers refuse a bad hole count or hole set.
-    try:
-        if args.alg == model.dp:
-            if interval.size > DP_KEY_LIMIT:
-                raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
-            result = model.table.solve(inst, interval, args.holes)
-            cost, tree = result.cost, result.tree
-            holes_used = result.holes_in(interval)
-        elif holeset is not None:
-            cost, tree = model.oracle(inst).opt(interval, holeset)
-            holes_used = holeset
-        else:
-            cost, tree, holes_used = model.oracle(inst).opt_star(interval, args.holes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    # The solvers refuse a bad hole count or hole set with a ValueError.
+    if args.alg == model.dp:
+        if interval.size > DP_KEY_LIMIT:
+            raise SizeLimitError(interval.size, DP_KEY_LIMIT, args.alg)
+        result = model.table.solve(inst, interval, args.holes)
+        cost, tree = result.cost, result.tree
+        holes_used = result.holes_in(interval)
+    elif holeset is not None:
+        cost, tree = model.oracle(inst).opt(interval, holeset)
+        holes_used = holeset
+    else:
+        cost, tree, holes_used = model.oracle(inst).opt_star(interval, args.holes)
 
     print(
         f"model={args.model} alg={args.alg} interval=[{interval.i},{interval.j}] "
@@ -190,18 +184,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        cfg = falsify.CampaignConfig(
-            model=args.model,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            wmax=args.wmax,
-            trials=args.trials,
-            base_seed=args.seed,
-            holes_max=args.holes_max,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = falsify.CampaignConfig(
+        model=args.model,
+        n_min=args.n_min,
+        n_max=args.n_max,
+        wmax=args.wmax,
+        trials=args.trials,
+        base_seed=args.seed,
+        holes_max=args.holes_max,
+    )
     report = falsify.campaign(cfg)
     for line in report.summary_lines():
         print(line)
@@ -262,12 +253,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except ParseError as exc:  # a ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, SizeLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if set_digits is not None:
             set_digits(old_digits)

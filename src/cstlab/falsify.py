@@ -1,10 +1,10 @@
 """Randomized search for discrepancies between the flawed DPs and the oracles.
 
 A discrepancy at any cell (I, h) — the DP costing strictly more than the
-exact optimum — certifies that (I, h) lacks optimal substructure.  The
-reverse direction (DP costing *less*) is impossible because the DPs only
-ever build valid trees; if it is observed, the artifact itself is broken
-and :class:`FeasibilityError` is raised.
+exact optimum, or past the oracle's reach more than a witness tree —
+certifies that (I, h) lacks optimal substructure; ``_audit`` is the one
+loop that checks both.  A DP costing *less* than the optimum would be an
+artifact bug (the DPs build valid trees) and raises FeasibilityError.
 
 Campaigns are fully deterministic: random trial t derives its seed as
 ``base_seed + t``, so any reported discrepancy replays from its
@@ -25,7 +25,7 @@ from .model import (
     tree_cost,
     validate,
 )
-from .oracle import ExactOracle, GbstOracle, SizeLimitError, TwcstOracle
+from .oracle import ExactOracle, GbstOracle, TwcstOracle
 from .spuler import SpulerTable
 
 __all__ = [
@@ -192,30 +192,39 @@ class CampaignReport:
 
 
 def _audit(
-    model: str, inst: Instance, holes_max: Optional[int], **tags
+    model: str, inst: Instance, holes_max: Optional[int], witness=None, **tags
 ) -> tuple[list[Discrepancy], int]:
-    """Audit the table's cells against the oracle; largest gap first.
+    """Audit the table's cells against a reference; largest gap first.
     Each record carries ``tags`` (its trial and seed or name).
 
-    The cells (h <= holes_max) and their opt* come from one pass over the
-    query sets of the whole instance (``star_rows``), taken before the table
-    fills, so that an instance beyond the oracle limit raises
-    SizeLimitError before any work.
+    Without a witness the reference is opt* at each cell (h <= holes_max),
+    from ``star_rows``' one pass over the instance's query sets, taken
+    before the table fills, so that an instance beyond the oracle limit
+    raises SizeLimitError before any work.  A validated witness tree is the
+    reference at (1, n, 0) alone.  A DP cost below an oracle reference
+    raises FeasibilityError; a witness is only an upper bound.
     """
     spec = MODELS[model]
-    rows = spec.oracle(inst).star_rows(inst.full_interval(), holes_max)
+    if witness is None:
+        rows = spec.oracle(inst).star_rows(inst.full_interval(), holes_max)
+    else:
+        verdict = validate(witness, inst.full_interval(), (), inst)
+        if not verdict:
+            raise ValueError(f"witness tree for {tags['name']} invalid: {verdict.violations}")
+        rows = {(1, inst.n): [tree_cost(witness, inst)]}
+    certified = "oracle" if witness is None else "witness"
     table = spec.table(inst)
     found: list[Discrepancy] = []
     checked = 0
     for (i, j), row in rows.items():
         checked += len(row)
-        for h, exact in enumerate(row):
+        for h, reference in enumerate(row):
             flawed = table.cost(i, j, h)
-            if flawed < exact:
+            if flawed < reference and witness is None:
                 raise FeasibilityError(
-                    f"{spec.dp} cost {flawed} below optimum {exact} at ({i},{j},{h})"
+                    f"{spec.dp} cost {flawed} below optimum {reference} at ({i},{j},{h})"
                 )
-            if flawed > exact:
+            if flawed > reference:
                 found.append(
                     Discrepancy(
                         instance=inst,
@@ -223,7 +232,8 @@ def _audit(
                         j=j,
                         h=h,
                         flawed_cost=flawed,
-                        oracle_cost=exact,
+                        oracle_cost=reference,
+                        certified=certified,
                         **tags,
                     )
                 )
@@ -244,54 +254,31 @@ def audit_subproblems(
     return _audit(model, inst, holes_max)[0]
 
 
-def _witness_check(
-    model: str, inst: Instance, witness, **tags
-) -> list[Discrepancy]:
-    verdict = validate(witness, inst.full_interval(), (), inst)
-    if not verdict:
-        raise ValueError(f"witness tree for {tags['name']} invalid: {verdict.violations}")
-    hit = Discrepancy(
-        instance=inst,
-        i=1,
-        j=inst.n,
-        h=0,
-        flawed_cost=MODELS[model].table(inst).cost(1, inst.n, 0),
-        oracle_cost=tree_cost(witness, inst),
-        certified="witness",
-        **tags,
-    )
-    return [hit] if hit.gap > 0 else []
-
-
 def campaign(
     cfg: CampaignConfig, injected: Sequence[InjectedCase] = ()
 ) -> CampaignReport:
     """Run injected cases first, then cfg.trials seeded random audits.
 
-    Oracle refusals (instances beyond the configured limit) are recorded,
-    not fatal; such cases fall back to witness-tree comparison at the whole
-    instance when a witness is supplied and check no cell otherwise.
+    Oracle refusals (instances beyond the oracle limit) are recorded, not
+    fatal; such a case is audited against its witness tree at the whole
+    instance when it has one and checks no cell otherwise.
     """
+    limit = MODELS[cfg.model].oracle.limit
     refusals: list[str] = []
     trials: list[tuple[list[Discrepancy], int]] = []
 
     for trial, case in enumerate(injected):
-        tags = {"trial": trial, "name": case.name}
-        try:
-            trials.append(_audit(cfg.model, case.instance, cfg.holes_max, **tags))
-        except SizeLimitError as exc:
-            witnessed = case.witness_tree is not None
+        inst, witness = case.instance, None
+        if inst.n > limit:
+            witness = case.witness_tree
             refusals.append(
-                f"trial {trial} ({case.name}): n={exc.size} exceeds oracle "
-                f"limit {exc.limit}; "
-                + ("witness comparison only" if witnessed else "no witness, not checked")
+                f"trial {trial} ({case.name}): n={inst.n} exceeds oracle limit {limit}; "
+                + ("no witness, not checked" if witness is None else "witness comparison only")
             )
-            if witnessed:
-                trials.append(
-                    (_witness_check(cfg.model, case.instance, case.witness_tree, **tags), 1)
-                )
-            else:
+            if witness is None:
                 trials.append(([], 0))
+                continue
+        trials.append(_audit(cfg.model, inst, cfg.holes_max, witness, trial=trial, name=case.name))
 
     for trial in range(len(injected), len(injected) + cfg.trials):
         trials.append(_run_random_trial(cfg, trial))

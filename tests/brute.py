@@ -13,6 +13,7 @@ from cstlab.model import Instance
 def min_gbst_cost(inst: Instance, keys: tuple[int, ...]) -> int:
     """Minimum cost over every GBST for a key set, by direct enumeration."""
 
+    @lru_cache(maxsize=None)
     def best(keys: tuple[int, ...]) -> int:
         if not keys:
             return 0

@@ -391,6 +391,19 @@ class TestFuzz:
         assert "status=FAIL" in capsys.readouterr().out
 
 
+    def test_library_value_error_exits_2_without_traceback(self, monkeypatch, capsys):
+        from cstlab import falsify
+
+        def failing_campaign(cfg, injected=()):
+            raise ValueError("campaign refused")
+
+        monkeypatch.setattr(falsify, "campaign", failing_campaign)
+        assert main(["fuzz", "--model", "twcst", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: campaign refused\n"
+
+
 class TestOtherCommands:
     def test_bound_placement(self, tmp_path, capsys):
         path = tmp_path / "i31.txt"

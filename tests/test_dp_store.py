@@ -5,7 +5,9 @@ own split map.
 Key i's five columns (cost, cw, perm, choice, free) are the table: they
 hold the rows of [i, i], [i, i+1], ... in order, the row of [i, j] from
 ``off[j - i]``, so a left side's position in a layout indexes them."""
+import inspect
 import random
+import struct
 import tracemalloc
 
 import pytest
@@ -248,3 +250,56 @@ def test_fill_drops_the_stores_it_has_read_for_the_last_time(name):
         tracemalloc.stop()
     assert table._cols[1]
     assert peak < 1.4 * retained, (peak, retained)
+
+
+def _store_lines():
+    """The lines of ``DpTable._fill`` that extend key j's end stores."""
+    lines, first = inspect.getsourcelines(model.DpTable._fill)
+    found = [
+        first + k
+        for k, line in enumerate(lines)
+        if line.lstrip().startswith(("cw_to[j] +=", "free_to[j] +="))
+    ]
+    assert len(found) == 2
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_only_the_last_key_keeps_its_stores_at_the_root(name, monkeypatch):
+    """When the fill reaches the root interval, every key but the last has
+    had its end stores read for the last time and dropped.  The memory the
+    two store-extending lines still hold is then key hi's two stores: two
+    pointers per row entry of [2, hi], ..., [hi, hi], plus list
+    over-allocation and the freed list headers (a freelist) that
+    tracemalloc still charges to those lines.  On these 36 keys it reads
+    15.9 KB (HW) and 10.8 KB (Spuler); with no store dropped, 150 KB and
+    140 KB.  The bound is three times the pointers: 31.9 KB and 30.2 KB."""
+    cls = TABLES[name][0]
+    n = 36
+    inst = random_instance(n, 1000, 7)
+    m = cls.min_queries
+    root_candidates = len(model._split_gathers(n, m)[0])
+    lines = _store_lines()
+    snapshots = []
+    best_split = cls._best_split
+
+    def first_root_call_snapshots(self, bases, *rest):
+        if not snapshots and len(bases) == root_candidates:
+            snapshots.append(tracemalloc.take_snapshot())
+        return best_split(self, bases, *rest)
+
+    monkeypatch.setattr(cls, "_best_split", first_root_call_snapshots)
+    tracemalloc.start()
+    try:
+        table = cls(inst)
+    finally:
+        tracemalloc.stop()
+    [snapshot] = snapshots
+    live = sum(
+        stat.size
+        for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, model.__file__, line) for line in lines]
+        ).statistics("lineno")
+    )
+    entries = table._off[n - 1]  # the rows of [i, hi] for i = 2..hi
+    assert 0 < live < 3 * 2 * struct.calcsize("P") * entries, (live, entries)

@@ -19,7 +19,7 @@ from cstlab.falsify import (
     replay_trial,
 )
 from cstlab.hw import hw_solve
-from cstlab.model import Instance, Interval, format_instance
+from cstlab.model import Instance, Interval, format_instance, gbst_join, tree_cost
 from cstlab.oracle import SizeLimitError
 from cstlab.spuler import spuler_solve
 
@@ -216,6 +216,33 @@ class TestCampaign:
         (d,) = [d for d in report.discrepancies if d.certified == "witness"]
         assert (d.trial, d.name, d.seed) == (0, "I31", None)
         assert report.checked_cells == campaign(cfg).checked_cells + 1
+
+    @pytest.mark.parametrize("witness,cost", [("hw", 1763), ("chain", 7046)])
+    def test_witness_is_only_an_upper_bound(self, witness, cost):
+        # A witness that costs as much as HW's root (HW's own tree) or more
+        # (the right chain) records nothing and raises nothing, yet its one
+        # cell is checked.
+        i31 = build_instance("I31").instance
+        if witness == "hw":
+            tree = hw_solve(i31, i31.full_interval(), 0).tree
+        else:
+            tree = None
+            for k in range(i31.n, 0, -1):
+                tree = gbst_join(k, k, k, None, tree)
+        assert tree_cost(tree, i31) == cost
+        cfg = CampaignConfig(model=GBSPLIT, n_min=2, n_max=4, trials=1, base_seed=1)
+        report = campaign(cfg, injected=(InjectedCase("I31", i31, tree),))
+        assert not [d for d in report.discrepancies if d.name == "I31"]
+        assert report.checked_cells == campaign(cfg).checked_cells + 1
+        assert report.oracle_refusals == (
+            "trial 0 (I31): n=31 exceeds oracle limit 16; witness comparison only",
+        )
+
+    def test_invalid_witness_is_refused(self):
+        i31 = build_instance("I31").instance
+        cfg = CampaignConfig(model=GBSPLIT, n_min=2, n_max=4, trials=1, base_seed=1)
+        with pytest.raises(ValueError, match="witness tree for I31 invalid"):
+            campaign(cfg, injected=(InjectedCase("I31", i31, gbst_join(1, 1, 1, None, None)),))
 
     def test_mutant_counterexample_found_by_sweeps(self):
         # Harness discovery, frozen as a regression: raising the I15

@@ -11,7 +11,14 @@ optimum under the other index tie order (+k), where H' holds.
 
 Spuler's DP fails on a 10-key random instance too, not only on the
 paper's I15: random_instance(10, 1000, 22) has a discrepant cell.
+
+The smallest bad cells known: three Spuler cells of 8 and 9 keys and one
+HW cell of 13 keys, each one hole, each the instance's one discrepancy,
+by one.  The brute force confirms each reference.
 """
+import pytest
+
+from brute import min_gbst_cost, min_twcst_cost
 from cstlab import falsify
 from cstlab.falsify import random_instance
 from cstlab.hw import HwTable, hw_solve
@@ -70,3 +77,44 @@ class TestRandomSpulerDiscrepancy:
         [d] = falsify.audit_subproblems(falsify.TWCST, _instance(self.WEIGHTS))
         assert (d.i, d.j, d.h) == (2, 10, 1)
         assert (d.flawed_cost, d.oracle_cost, d.certified) == (11_420, 11_414, "oracle")
+
+
+# (model, weights, cell, DP cost and holes, opt* cost and holes).
+SMALLEST_BAD_CELLS = [
+    (falsify.TWCST, (11, 7, 1, 7, 5, 10, 10, 10), (1, 8, 1), (139, (8,)), (138, (1,))),
+    (falsify.TWCST, (12, 7, 2, 7, 5, 11, 5, 10, 6), (1, 9, 1), (159, (6,)), (158, (1,))),
+    (falsify.TWCST, (3, 6, 2, 3, 4, 5, 0, 5, 5), (1, 9, 1), (81, (6,)), (80, (2,))),
+    (
+        falsify.GBSPLIT,
+        (20, 18, 20, 20, 14, 22, 5, 5, 5, 5, 14, 14, 14),
+        (1, 13, 1),
+        (427, (6,)),
+        (426, (6,)),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model,weights,cell,dp,star",
+    SMALLEST_BAD_CELLS,
+    ids=["spuler-8-keys", "spuler-9-keys-a", "spuler-9-keys-b", "hw-13-keys"],
+)
+def test_smallest_bad_cell(model, weights, cell, dp, star):
+    inst = _instance(weights)
+    [d] = falsify.audit_subproblems(model, inst)
+    assert (d.i, d.j, d.h) == cell
+    assert (d.flawed_cost, d.oracle_cost, d.certified) == (dp[0], star[0], "oracle")
+    spec = falsify.MODELS[model]
+    i, j, h = cell
+    iv = Interval(i, j)
+    result = spec.table(inst).result(i, j, h)
+    assert (result.cost, result.holes_in(iv)) == dp
+    assert validate(result.tree, iv, dp[1], inst)
+    cost, tree, holes = spec.oracle(inst).opt_star(iv, h)
+    assert (cost, holes) == star
+    assert validate(tree, iv, holes, inst)
+    # The least brute-force cost over every one-hole query set of the cell.
+    brute = min_twcst_cost if model == falsify.TWCST else min_gbst_cost
+    assert h == 1
+    best = min(brute(inst, tuple(k for k in iv.keys() if k != hole)) for hole in iv.keys())
+    assert best == star[0]
